@@ -14,7 +14,7 @@ from . import verify
 from .digraph import Digraph, EdgeSet, GraphError, validate_graph
 from .divisor_graph import build_divisor_graph
 from .duclosure import completion, is_ample, is_sufficient
-from .exact_linalg import RatMatrix, SingularMatrixError
+from .exact_linalg import RatMatrix, SingularMatrixError, json_array
 from .hasse import boolean_lattice, complex_hasse, partition_lattice
 from .ncpoly import NCPoly
 from .pseudoroots import (
@@ -91,7 +91,7 @@ def cmd_check(args):
 
 def _load_edge_set(graph_path, edges_path):
     graph = Digraph.from_json(_read_json(graph_path))
-    edge_ids = _read_json(edges_path)["edges"]
+    edge_ids = json_array(_read_json(edges_path), "edges")
     return graph, EdgeSet(graph, edge_ids)
 
 
@@ -176,7 +176,7 @@ def cmd_derive(args):
 def cmd_divisors(args):
     poly = NCPoly.from_json(_read_json(args.poly))
     elements = {}
-    for rec in _read_json(args.set)["edges"]:
+    for rec in json_array(_read_json(args.set), "edges"):
         name = rec.get("name") or rec.get("edge") or f"s{len(elements) + 1}"
         elements[name] = RatMatrix.from_json(rec["value"])
     dg = build_divisor_graph(poly, elements)

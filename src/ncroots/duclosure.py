@@ -6,9 +6,12 @@ of predecessors leaving a common tail. Neither result is required to be
 unique, and results always range over the host graph's own edges: closure
 happens inside a fixed ambient graph and never invents new edges.
 
-``completion`` computes the least edge set closed under both operations,
-together with a replayable trace that records, for every derived edge,
-the first step that produced it. On top of the closure sit the
+``close`` is the one closure engine: a FIFO worklist that pairs each
+newly admitted edge only with the members sharing its tail or head, since
+no other edge can form an applicable pair with it. ``completion`` and
+``pseudoroots.labeled_completion`` are callbacks on it; ``completion``
+also records a replayable trace that names, for every derived edge, the
+first step that produced it. On top of the closure sit the
 classification predicates: ample (non-domination of every vertex),
 sufficient (the completion carries a positive source-to-sink path), and
 the witness extraction whose guaranteed success on complete connected
@@ -86,60 +89,81 @@ def applicable(g: Digraph, a: str, b: str):
     return kinds
 
 
-def completion(es: EdgeSet) -> tuple[EdgeSet, ClosureTrace]:
-    """Least DU-complete superset, with a deterministic derivation trace.
+def _partners(g: Digraph, x: str, members) -> list:
+    """Sorted members other than x sharing its tail or head: the only
+    edges that can form an applicable pair with x."""
+    t, h = g.edges[x]
+    return sorted(y for y in g._out[t] + g._in[h] if y != x and y in members)
 
-    Worklist of canonically sorted pairs, FIFO; the fixed point is unique
-    so the order only shapes the trace, never the result.
+
+def close(g: Digraph, members, expand) -> set:
+    """Close ``members`` under D and U inside ``g``; returns the closed set.
+
+    FIFO queue of sorted pairs: those of the seeds, then each admitted
+    edge's pairs in partner order. Each applicable kind of a dequeued pair
+    with nonempty results goes to ``expand(kind, pair, results, add)``,
+    which must call ``add(f)`` on each result edge as it meets it; ``add``
+    admits and queues f and returns whether f was new.
     """
-    g = es.host
-    current = set(es.members)
+    current = set(members)
     queue = deque()
     queued = set()
 
     def enqueue_pairs_with(x):
-        for y in sorted(current):
-            if y == x:
-                continue
-            pair = (min(x, y), max(x, y))
-            if pair in queued:
-                continue
-            if applicable(g, x, y):
+        for y in _partners(g, x, current):
+            pair = (x, y) if x < y else (y, x)
+            if pair not in queued:
                 queued.add(pair)
                 queue.append(pair)
 
+    def add(x):
+        if x in current:
+            return False
+        current.add(x)
+        enqueue_pairs_with(x)
+        return True
+
     for x in sorted(current):
         enqueue_pairs_with(x)
-
-    steps = []
-    derived = {}
     while queue:
         a, b = queue.popleft()
         for kind in applicable(g, a, b):
-            if kind == "D":
-                results = d_results(g, a, b)
-            else:
-                results = u_results(g, a, b)
-            for out_pair in results:
-                steps.append(DUStep(kind, (a, b), out_pair))
-                for f in out_pair:
-                    if f not in current:
-                        current.add(f)
-                        derived[f] = len(steps) - 1
-                        enqueue_pairs_with(f)
-    return EdgeSet(g, current), ClosureTrace(steps, derived)
+            results = d_results(g, a, b) if kind == "D" else u_results(g, a, b)
+            if results:
+                expand(kind, (a, b), results, add)
+    return current
+
+
+def completion(es: EdgeSet) -> tuple[EdgeSet, ClosureTrace]:
+    """Least DU-complete superset, with a deterministic derivation trace.
+
+    Every result pair of every operation is one step; the fixed point is
+    unique, so the queue order only shapes the trace, never the result.
+    """
+    steps = []
+    derived = {}
+
+    def record(kind, pair, results, add):
+        for out_pair in results:
+            steps.append(DUStep(kind, pair, out_pair))
+            for f in out_pair:
+                if add(f):
+                    derived[f] = len(steps) - 1
+
+    members = close(es.host, es.members, record)
+    return EdgeSet(es.host, members), ClosureTrace(steps, derived)
 
 
 def is_complete(es: EdgeSet) -> bool:
     """True iff all D/U results of member pairs lie in the set."""
     g = es.host
-    members = sorted(es.members)
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
+    members = es.members
+    for a in members:
+        for b in _partners(g, a, members):
             for kind in applicable(g, a, b):
                 results = d_results(g, a, b) if kind == "D" else u_results(g, a, b)
                 for f1, f2 in results:
-                    if f1 not in es.members or f2 not in es.members:
+                    if f1 not in members or f2 not in members:
                         return False
     return True
 
@@ -185,28 +209,20 @@ def gamma_n_ample_fast(es: EdgeSet) -> bool:
 def lex_path(g: Digraph, members, u: str, v: str):
     """Lexicographically smallest edge-id path u -> v inside members, or None."""
     reaches = {v}
-    changed = True
-    while changed:  # backward closure over member edges
-        changed = False
-        for e in members:
-            t, h = g.edges[e]
-            if h in reaches and t not in reaches:
+    stack = [v]
+    while stack:  # backward search over member edges
+        for e in g.in_edges(stack.pop()):
+            t = g.edges[e][0]
+            if e in members and t not in reaches:
                 reaches.add(t)
-                changed = True
+                stack.append(t)
     if u not in reaches:
         return None
     path = []
-    cur = u
-    while cur != v:
-        step = None
-        for e in sorted(g.out_edges(cur)):
-            if e in members and g.head(e) in reaches:
-                step = e
-                break
-        if step is None:  # can only happen if u == v was required
-            return None
+    while u != v:  # a vertex that reaches v has a member out-edge into reaches
+        step = next(e for e in g.out_edges(u) if e in members and g.edges[e][1] in reaches)
         path.append(step)
-        cur = g.head(step)
+        u = g.edges[step][1]
     return tuple(path)
 
 

@@ -45,14 +45,46 @@ class RingElement(Protocol):
     def is_one(self) -> bool: ...
 
 
+class InputError(ValueError):
+    """A malformed input document; ``path`` names the failing field."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"{path}: {reason}")
+        self.path = path
+        self.reason = reason
+
+
+def parse_at(path: str, parse, obj):
+    """``parse(obj)``, with a ValueError reported as an InputError at path."""
+    try:
+        return parse(obj)
+    except InputError as exc:
+        raise InputError(f"{path}.{exc.path}", exc.reason) from None
+    except ValueError as exc:
+        raise InputError(path, str(exc)) from None
+
+
+def json_array(obj, key: str) -> list:
+    """The array held by field ``key`` of the JSON object ``obj``."""
+    if not isinstance(obj, dict):
+        raise InputError(key, f"expected a JSON object with an {key!r} array, "
+                              f"got {type(obj).__name__}")
+    if not isinstance(obj.get(key), list):
+        raise InputError(key, "missing or not an array")
+    return obj[key]
+
+
 def parse_rational(text) -> Fraction:
     """Parse "p" or "p/q" (not necessarily in lowest terms) or an int."""
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, Fraction):
         return text
     if isinstance(text, str):
-        return Fraction(text.strip())
+        try:
+            return Fraction(text.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     raise ValueError(f"not a rational literal: {text!r}")
 
 
@@ -181,9 +213,11 @@ class RatMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RatMatrix":
-        if not isinstance(obj, dict) or "entries" not in obj:
-            raise ValueError("matrix JSON must be an object with an 'entries' array")
-        m = cls(obj["entries"])
+        rows = json_array(obj, "entries")
+        if not all(isinstance(row, list) for row in rows):
+            raise InputError("entries", "expected an array of arrays")
+        m = cls([parse_at(f"entries[{i}][{j}]", parse_rational, x) for j, x in enumerate(row)]
+                for i, row in enumerate(rows))
         if "d" in obj and obj["d"] != m.dim:
             raise ValueError(f"declared dimension {obj['d']} does not match {m.dim} rows")
         return m

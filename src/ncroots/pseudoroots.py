@@ -34,7 +34,9 @@ from typing import Iterable, Mapping
 
 from . import duclosure
 from .digraph import Digraph, EdgeSet
-from .exact_linalg import RatMatrix, SingularMatrixError, block_assemble, parse_rational, rect_mul
+from .exact_linalg import (
+    InputError, RatMatrix, SingularMatrixError, block_assemble, json_array, parse_at,
+    parse_rational, rect_mul)
 from .hasse import GammaEdgeLabel, parse_edge_label, subset_id
 from .ncpoly import NCPoly, from_linear_factors
 
@@ -127,7 +129,8 @@ class RootSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RootSet":
-        rs = cls(RatMatrix.from_json(m) for m in obj["roots"])
+        rs = cls(parse_at(f"roots[{k}]", RatMatrix.from_json, m)
+                 for k, m in enumerate(json_array(obj, "roots")))
         if "n" in obj and obj["n"] != rs.n:
             raise ValueError(f"declared n={obj['n']} does not match {rs.n} roots")
         if "d" in obj and obj["d"] != rs.d:
@@ -513,10 +516,15 @@ class LabeledEdgeSet:
     def from_json(cls, host: Digraph, obj: dict) -> "LabeledEdgeSet":
         labels = {}
         names = {}
-        for rec in obj["edges"]:
-            labels[rec["edge"]] = RatMatrix.from_json(rec["value"])
+        for k, rec in enumerate(json_array(obj, "edges")):
+            e = rec.get("edge") if isinstance(rec, dict) else None
+            if not isinstance(e, str) or "value" not in rec:
+                raise InputError(f"edges[{k}]", "expected an object with an 'edge' id and a 'value'")
+            if e in labels:
+                raise InputError(f"edges[{k}].edge", f"edge {e!r} is labeled twice")
+            labels[e] = parse_at(f"edges[{k}].value", RatMatrix.from_json, rec["value"])
             if "name" in rec:
-                names[rec["edge"]] = rec["name"]
+                names[e] = rec["name"]
         return cls(host, labels, names=names or None)
 
 
@@ -548,57 +556,30 @@ def labeled_completion(ls: LabeledEdgeSet) -> LabeledCompletionResult:
     exprs = dict(ls.exprs)
     steps = []
     skipped = []
-    queue = []
-    queued = set()
 
-    def enqueue_pairs_with(x):
-        for y in sorted(values):
-            if y == x:
-                continue
-            pair = (min(x, y), max(x, y))
-            if pair not in queued and duclosure.applicable(g, x, y):
-                queued.add(pair)
-                queue.append(pair)
+    def propagate(kind, pair, results, add):
+        a, b = pair
+        op, conj = (d_op, RConj) if kind == "D" else (u_op, LConj)
+        try:
+            out_vals = op(values[a], values[b])
+        except SingularDifferenceError as exc:
+            skipped.append(SkippedStep(kind, pair, str(exc)))
+            return
+        out_exprs = (conj(exprs[b], exprs[a]), conj(exprs[a], exprs[b]))
+        for out_pair in results:
+            fresh = False
+            for f, val, ex in zip(out_pair, out_vals, out_exprs):
+                if add(f):
+                    values[f], exprs[f] = val, ex
+                    fresh = True
+                elif values[f] != val:
+                    raise InconsistentLabelsError(
+                        f"edge {f!r} received two different values "
+                        f"(via {kind} on {pair})")
+            if fresh:
+                steps.append(duclosure.DUStep(kind, pair, out_pair))
 
-    for x in sorted(values):
-        enqueue_pairs_with(x)
-
-    qi = 0
-    while qi < len(queue):
-        a, b = queue[qi]
-        qi += 1
-        for kind in duclosure.applicable(g, a, b):
-            if kind == "D":
-                results = duclosure.d_results(g, a, b)
-            else:
-                results = duclosure.u_results(g, a, b)
-            if not results:
-                continue
-            try:
-                if kind == "D":
-                    out_vals = d_op(values[a], values[b])
-                    out_exprs = (RConj(exprs[b], exprs[a]), RConj(exprs[a], exprs[b]))
-                else:
-                    out_vals = u_op(values[a], values[b])
-                    out_exprs = (LConj(exprs[b], exprs[a]), LConj(exprs[a], exprs[b]))
-            except SingularDifferenceError as exc:
-                skipped.append(SkippedStep(kind, (a, b), str(exc)))
-                continue
-            for out_pair in results:
-                recorded = False
-                for f, val, ex in zip(out_pair, out_vals, (out_exprs[0], out_exprs[1])):
-                    if f in values:
-                        if values[f] != val:
-                            raise InconsistentLabelsError(
-                                f"edge {f!r} received two different values "
-                                f"(via {kind} on {(a, b)})")
-                    else:
-                        values[f] = val
-                        exprs[f] = ex
-                        if not recorded:
-                            steps.append(duclosure.DUStep(kind, (a, b), out_pair))
-                            recorded = True
-                        enqueue_pairs_with(f)
+    duclosure.close(g, values, propagate)
     labeled = LabeledEdgeSet(g, values, names=dict(ls.names), exprs=exprs)
     return LabeledCompletionResult(labeled, steps, skipped)
 

@@ -200,3 +200,46 @@ def test_outputs_are_deterministic(tmp_path, capsys, nilpotent_files):
     g1 = capsys.readouterr().out
     assert main(["gen", "boolean", "-n", "4"]) == 0
     assert capsys.readouterr().out == g1
+
+
+def assert_input_error(code, capsys, field):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert field in err and "Traceback" not in err
+
+
+def test_derive_repeated_edge_is_input_error(tmp_path, capsys, nilpotent_pair):
+    x1, x2 = nilpotent_pair
+    g3 = tmp_path / "g3.json"
+    main(["gen", "boolean", "-n", "3", "-o", str(g3)])
+    lab = write(tmp_path / "dup.json", {"edges": [
+        {"edge": "{}:1", "value": x1.to_json()},
+        {"edge": "{}:1", "value": x2.to_json()},
+    ]})
+    assert_input_error(main(["derive", str(g3), lab]), capsys, "edges[1].edge")
+
+
+@pytest.mark.parametrize("command", ["closure", "sufficient", "ample"])
+def test_edge_set_top_level_array_is_input_error(tmp_path, capsys, command):
+    g = tmp_path / "g2.json"
+    main(["gen", "boolean", "-n", "2", "-o", str(g)])
+    es = write(tmp_path / "es.json", ["{}:1", "{}:2"])
+    assert_input_error(main([command, str(g), es]), capsys, "edges")
+
+
+def test_factor_top_level_array_is_input_error(tmp_path, capsys, nilpotent_pair):
+    rs = write(tmp_path / "rs.json", [x.to_json() for x in nilpotent_pair])
+    assert_input_error(main(["factor", rs]), capsys, "roots")
+
+
+@pytest.mark.parametrize("entry", ["1/0", True])
+def test_factor_bad_rational_is_input_error(tmp_path, capsys, nilpotent_pair, entry):
+    doc = RootSet(nilpotent_pair).to_json()
+    doc["roots"][1]["entries"][0][1] = entry
+    rs = write(tmp_path / "rs.json", doc)
+    assert_input_error(main(["factor", rs]), capsys, "roots[1].entries[0][1]")
+
+
+def test_divisors_top_level_array_is_input_error(tmp_path, capsys, nilpotent_files):
+    s = write(tmp_path / "s.json", [{"name": "a", "value": {"entries": [["1", "0"], ["0", "1"]]}}])
+    assert_input_error(main(["divisors", nilpotent_files["poly"], s]), capsys, "edges")

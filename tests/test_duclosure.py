@@ -1,10 +1,12 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
 from ncroots.digraph import EdgeSet, GraphError
 from ncroots.duclosure import (
+    DUStep,
     applicable,
     completion,
     d_results,
@@ -37,6 +39,48 @@ def naive_completion(es):
                         current.add(f)
                         changed = True
     return frozenset(current)
+
+
+def quadratic_completion(es):
+    # reference trace: the earlier worklist that paired every new edge with
+    # every current member, in sorted order; returns (members, steps, derived)
+    g = es.host
+    current = set(es.members)
+    queue = deque()
+    queued = set()
+
+    def enqueue_pairs_with(x):
+        for y in sorted(current):
+            pair = (min(x, y), max(x, y))
+            if y != x and pair not in queued and applicable(g, x, y):
+                queued.add(pair)
+                queue.append(pair)
+
+    for x in sorted(current):
+        enqueue_pairs_with(x)
+    steps, derived = [], {}
+    while queue:
+        a, b = queue.popleft()
+        for kind in applicable(g, a, b):
+            results = d_results(g, a, b) if kind == "D" else u_results(g, a, b)
+            for out_pair in results:
+                steps.append(DUStep(kind, (a, b), out_pair))
+                for f in out_pair:
+                    if f not in current:
+                        current.add(f)
+                        derived[f] = len(steps) - 1
+                        enqueue_pairs_with(f)
+    return frozenset(current), steps, derived
+
+
+def naive_is_complete(es):
+    g = es.host
+    for a, b in itertools.combinations(sorted(es.members), 2):
+        for kind in applicable(g, a, b):
+            results = d_results(g, a, b) if kind == "D" else u_results(g, a, b)
+            if any(f not in es.members for pair in results for f in pair):
+                return False
+    return True
 
 
 g2 = boolean_lattice(2)
@@ -98,6 +142,48 @@ def test_completion_matches_oracle_gamma3_sampled():
         es = EdgeSet(g3, combo)
         comp, _ = completion(es)
         assert comp.members == naive_completion(es)
+
+
+def trace_inputs():
+    for n in range(3, 8):
+        g = boolean_lattice(n)
+        top = "{" + ",".join(map(str, range(1, n + 1))) + "}"
+        yield EdgeSet(g, g.in_edges("{}"))            # bottom star
+        yield EdgeSet(g, g.out_edges(top))            # top star
+        yield EdgeSet(g, g.in_edges("{1,2}"))         # rank-2 stars
+        yield EdgeSet(g, g.out_edges("{1,2}"))
+    rng = random.Random(7)
+    for n in (4, 5, 6):
+        g = boolean_lattice(n)
+        edges = sorted(g.edges)
+        for _ in range(8):
+            yield EdgeSet(g, rng.sample(edges, rng.randint(2, 8)))
+    g = partition_lattice(6)
+    edges = sorted(g.edges)
+    for _ in range(8):
+        yield EdgeSet(g, rng.sample(edges, rng.randint(2, 6)))
+
+
+def test_completion_trace_matches_quadratic_reference():
+    # the adjacency-driven queue must replay the full-scan queue step for step
+    for es in trace_inputs():
+        comp, trace = completion(es)
+        members, steps, derived = quadratic_completion(es)
+        assert comp.members == members
+        assert list(trace.steps) == steps
+        assert list(trace.derived.items()) == list(derived.items())
+
+
+def test_is_complete_matches_all_pairs_reference():
+    for es in trace_inputs():
+        comp, _ = completion(es)
+        assert is_complete(comp) and naive_is_complete(comp)
+        assert is_complete(es) == naive_is_complete(es)
+    rng = random.Random(11)
+    edges = sorted(g3.edges)
+    for _ in range(300):
+        es = EdgeSet(g3, rng.sample(edges, rng.randint(1, 10)))
+        assert is_complete(es) == naive_is_complete(es)
 
 
 def test_completion_examples():

@@ -7,6 +7,7 @@ from hypothesis import assume, given
 
 from conftest import matrices
 from ncroots.digraph import EdgeSet
+from ncroots.duclosure import completion
 from ncroots.exact_linalg import RatMatrix
 from ncroots.hasse import boolean_lattice
 from ncroots.ncpoly import NCPoly, from_linear_factors
@@ -290,6 +291,21 @@ def test_labeled_completion_agrees_with_table():
         result = labeled_completion(ls)
         assert not result.skipped
         assert result.labeled.labels == build_table(rs).edge_value_map()
+
+
+def test_labeled_closure_follows_graph_closure():
+    # on a generic labeling no step is skipped, so the labeled closure
+    # reaches the graph closure's edges and records exactly the graph
+    # steps that first derive an edge
+    for n in (3, 4, 5):
+        g = boolean_lattice(n)
+        rs = random_generic_rootset(n, 2, seed=n)
+        ls = LabeledEdgeSet(g, {f"{{}}:{k}": rs.root(k) for k in range(1, n + 1)})
+        result = labeled_completion(ls)
+        comp, trace = completion(ls.edge_set())
+        assert result.skipped == []
+        assert set(result.labeled.labels) == comp.members
+        assert result.steps == [trace.steps[i] for i in sorted(set(trace.derived.values()))]
 
 
 def test_labeled_completion_detects_corruption():

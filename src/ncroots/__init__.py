@@ -1,7 +1,6 @@
 """Pseudo-roots of noncommutative polynomials over exact rational matrices,
 DU-closures and sufficient edge sets in layered directed graphs."""
 
-from .backend import available_backends, kernels, use_backend
 from .digraph import Digraph, EdgeSet, GraphError, validate_graph
 from .duclosure import completion, is_ample, is_complete, is_sufficient, lemma_witness
 from .exact_linalg import RatMatrix, Rational, SingularMatrixError, block_assemble

@@ -11,10 +11,10 @@ import json
 import sys
 
 from . import verify
-from .digraph import Digraph, EdgeSet, GraphError, validate_graph
+from .digraph import Digraph, EdgeSet, GraphError, graph_records, validate_graph
 from .divisor_graph import build_divisor_graph
 from .duclosure import completion, is_ample, is_sufficient
-from .exact_linalg import RatMatrix, SingularMatrixError, json_array
+from .exact_linalg import InputError, RatMatrix, SingularMatrixError, json_array, parse_at
 from .hasse import boolean_lattice, complex_hasse, partition_lattice
 from .ncpoly import NCPoly
 from .pseudoroots import (
@@ -67,12 +67,7 @@ def cmd_gen(args):
 
 
 def cmd_check(args):
-    obj = _read_json(args.graph)
-    vertices = [rec["id"] for rec in obj.get("vertices", [])]
-    rank = None
-    if any("rank" in rec for rec in obj.get("vertices", [])):
-        rank = {rec["id"]: rec.get("rank") for rec in obj["vertices"]}
-    edges = [(rec["id"], rec["tail"], rec["head"]) for rec in obj.get("edges", [])]
+    vertices, edges, rank = graph_records(_read_json(args.graph))
     report = validate_graph(vertices, edges, rank)
     print(f"simple: {report.simple}")
     print(f"acyclic: {report.acyclic}")
@@ -176,9 +171,14 @@ def cmd_derive(args):
 def cmd_divisors(args):
     poly = NCPoly.from_json(_read_json(args.poly))
     elements = {}
-    for rec in json_array(_read_json(args.set), "edges"):
+    for k, rec in enumerate(json_array(_read_json(args.set), "edges")):
+        if not isinstance(rec, dict) or "value" not in rec:
+            raise InputError(f"edges[{k}]", "expected an object with a 'value'")
+        for key in ("name", "edge"):
+            if key in rec and not isinstance(rec[key], str):
+                raise InputError(f"edges[{k}].{key}", "expected a string")
         name = rec.get("name") or rec.get("edge") or f"s{len(elements) + 1}"
-        elements[name] = RatMatrix.from_json(rec["value"])
+        elements[name] = parse_at(f"edges[{k}].value", RatMatrix.from_json, rec["value"])
     dg = build_divisor_graph(poly, elements)
     if args.format == "dot":
         _emit(dg.graph.to_dot(), args.out)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from .exact_linalg import InputError, json_array
+
 
 class GraphError(Exception):
     pass
@@ -85,7 +87,7 @@ def validate_graph(vertices, edges, rank=None) -> GraphReport:
             report.problems.append(f"rank missing for {sorted(missing)}")
         values_ok = True
         for r in rank.values():
-            if not isinstance(r, int) or r < 0:
+            if isinstance(r, bool) or not isinstance(r, int) or r < 0:
                 values_ok = False
                 report.layered = False
                 report.problems.append(f"rank values must be non-negative integers, got {r!r}")
@@ -131,6 +133,48 @@ def _find_cycle(adjacency):
                 color[v] = BLACK
                 stack.pop()
     return None
+
+
+# JSON strings and numbers; ``Digraph`` turns them into strings. A JSON
+# boolean loads as bool, which is its own type and so is not an id.
+_ID_TYPES = frozenset((str, int, float))
+
+
+def graph_records(obj):
+    """Raw (vertex ids, (edge id, tail, head) triples, rank map) of a graph document.
+
+    The document is ``{"vertices": [{"id", "rank"?}, ...], "edges": [{"id",
+    "tail", "head"}, ...]}`` with string or number ids; a malformed record
+    raises an InputError naming its field. The rank map is None when no vertex
+    carries a rank; otherwise an unranked vertex maps to None, which
+    ``validate_graph`` reports.
+    """
+    vrecs = json_array(obj, "vertices")
+    vertices = []
+    for k, rec in enumerate(vrecs):
+        v = rec.get("id") if isinstance(rec, dict) else None
+        if type(v) not in _ID_TYPES:
+            raise _record_error("vertices", k, rec, ("id",))
+        vertices.append(v)
+    edges = []
+    for k, rec in enumerate(json_array(obj, "edges")):
+        e, t, h = ((rec.get("id"), rec.get("tail"), rec.get("head"))
+                   if isinstance(rec, dict) else (None, None, None))
+        if type(e) not in _ID_TYPES or type(t) not in _ID_TYPES or type(h) not in _ID_TYPES:
+            raise _record_error("edges", k, rec, ("id", "tail", "head"))
+        edges.append((e, t, h))
+    rank = None
+    if any("rank" in rec for rec in vrecs):
+        rank = {rec["id"]: rec.get("rank") for rec in vrecs}
+    return vertices, edges, rank
+
+
+def _record_error(key: str, k: int, rec, names) -> InputError:
+    # names the field of record ``k`` that failed graph_records' id check
+    if not isinstance(rec, dict):
+        return InputError(f"{key}[{k}]", "expected an object")
+    name = next(n for n in names if type(rec.get(n)) not in _ID_TYPES)
+    return InputError(f"{key}[{k}].{name}", "expected a string or a number" if name in rec else "missing")
 
 
 class Digraph:
@@ -314,16 +358,9 @@ class Digraph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Digraph":
-        if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
-            raise ValueError("graph JSON must carry 'vertices' and 'edges'")
-        vertices = [rec["id"] for rec in obj["vertices"]]
-        ranked = [rec for rec in obj["vertices"] if "rank" in rec]
-        rank = None
-        if ranked:
-            if len(ranked) != len(obj["vertices"]):
-                raise ValueError("either all vertices carry a rank or none do")
-            rank = {rec["id"]: rec["rank"] for rec in obj["vertices"]}
-        edges = [(rec["id"], rec["tail"], rec["head"]) for rec in obj["edges"]]
+        vertices, edges, rank = graph_records(obj)
+        if rank is not None and None in rank.values():
+            raise ValueError("either all vertices carry a rank or none do")
         return cls(vertices, edges, rank)
 
     def to_dot(self, highlight=None) -> str:

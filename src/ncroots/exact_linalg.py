@@ -7,17 +7,19 @@ no floating point anywhere; equality is entry-wise and exact.
 
 Scalars are plain ``Fraction`` values (canonical lowest terms, positive
 denominator, zero is 0/1 — exactly the normalization this package needs,
-so no wrapper type is introduced). Any other exact division ring could be
-substituted by implementing the small ``RingElement`` protocol below;
-this package ships the rational-matrix ring only.
+so no wrapper type is introduced).
+
+Matrices are stored flat, in row-major order, and the two kernels every
+layer above reduces to, ``_mul`` and ``_inv``, work on that flat form. The
+product kernel accumulates raw numerator/denominator integer pairs and
+builds one normalized Fraction per output entry, which avoids the
+per-operation gcd that Fraction arithmetic would pay inside the inner loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Protocol, Sequence, runtime_checkable
-
-from .backend import kernels
+from typing import Iterable, Sequence
 
 Rational = Fraction
 
@@ -28,21 +30,6 @@ class DimensionError(ValueError):
 
 class SingularMatrixError(ArithmeticError):
     """Exact elimination found no pivot: the matrix has no inverse."""
-
-
-@runtime_checkable
-class RingElement(Protocol):
-    """What the polynomial and pseudo-root layers need from a ring element."""
-
-    def __add__(self, other): ...
-    def __sub__(self, other): ...
-    def __mul__(self, other): ...
-    def __neg__(self): ...
-    def inverse(self): ...
-    def one(self): ...
-    def zero(self): ...
-    def is_zero(self) -> bool: ...
-    def is_one(self) -> bool: ...
 
 
 class InputError(ValueError):
@@ -74,6 +61,14 @@ def json_array(obj, key: str) -> list:
     return obj[key]
 
 
+def json_size(obj: dict, key: str) -> int:
+    """The positive JSON integer held by field ``key`` of the object ``obj``."""
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InputError(key, "missing or not a positive integer")
+    return value
+
+
 def parse_rational(text) -> Fraction:
     """Parse "p" or "p/q" (not necessarily in lowest terms) or an int."""
     if isinstance(text, int) and not isinstance(text, bool):
@@ -93,6 +88,78 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def _mul(a, b, m, n, p):
+    """Product of an m*n and an n*p flat Fraction matrix."""
+    out = [None] * (m * p)
+    for i in range(m):
+        arow = i * n
+        for j in range(p):
+            num = 0
+            den = 1
+            for k in range(n):
+                x = a[arow + k]
+                y = b[k * p + j]
+                xn = x.numerator * y.numerator
+                if xn:
+                    xd = x.denominator * y.denominator
+                    num = num * xd + xn * den
+                    den *= xd
+            out[i * p + j] = Fraction(num, den)
+    return out
+
+
+def _inv(a, n):
+    """Gauss-Jordan inverse of a flat n*n Fraction matrix, or None if singular.
+
+    Partial pivoting on the first nonzero pivot; all arithmetic exact.
+    """
+    work = list(a)
+    out = [Fraction(i == j) for i in range(n) for j in range(n)]
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if work[r * n + col]:
+                piv = r
+                break
+        if piv is None:
+            return None
+        if piv != col:
+            for j in range(n):
+                work[piv * n + j], work[col * n + j] = work[col * n + j], work[piv * n + j]
+                out[piv * n + j], out[col * n + j] = out[col * n + j], out[piv * n + j]
+        p = work[col * n + col]
+        if p != 1:
+            pn = p.numerator
+            pd = p.denominator
+            for j in range(n):
+                x = work[col * n + j]
+                work[col * n + j] = Fraction(x.numerator * pd, x.denominator * pn)
+                x = out[col * n + j]
+                out[col * n + j] = Fraction(x.numerator * pd, x.denominator * pn)
+        for r in range(n):
+            if r == col:
+                continue
+            f = work[r * n + col]
+            if not f:
+                continue
+            fn = f.numerator
+            fd = f.denominator
+            for j in range(n):
+                x = work[r * n + j]
+                y = work[col * n + j]
+                work[r * n + j] = Fraction(
+                    x.numerator * fd * y.denominator - fn * y.numerator * x.denominator,
+                    x.denominator * fd * y.denominator,
+                )
+                x = out[r * n + j]
+                y = out[col * n + j]
+                out[r * n + j] = Fraction(
+                    x.numerator * fd * y.denominator - fn * y.numerator * x.denominator,
+                    x.denominator * fd * y.denominator,
+                )
+    return out
 
 
 class RatMatrix:
@@ -164,7 +231,7 @@ class RatMatrix:
     def __mul__(self, other):
         self._check_dim(other)
         d = self.dim
-        return RatMatrix._from_flat(d, kernels.mul(list(self._flat), list(other._flat), d, d, d))
+        return RatMatrix._from_flat(d, _mul(self._flat, other._flat, d, d, d))
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -179,7 +246,7 @@ class RatMatrix:
         return result
 
     def inverse(self) -> "RatMatrix":
-        flat = kernels.inv(list(self._flat), self.dim)
+        flat = _inv(self._flat, self.dim)
         if flat is None:
             raise SingularMatrixError(f"{self.dim}x{self.dim} matrix is singular")
         return RatMatrix._from_flat(self.dim, flat)
@@ -218,8 +285,8 @@ class RatMatrix:
             raise InputError("entries", "expected an array of arrays")
         m = cls([parse_at(f"entries[{i}][{j}]", parse_rational, x) for j, x in enumerate(row)]
                 for i, row in enumerate(rows))
-        if "d" in obj and obj["d"] != m.dim:
-            raise ValueError(f"declared dimension {obj['d']} does not match {m.dim} rows")
+        if "d" in obj and json_size(obj, "d") != m.dim:
+            raise InputError("d", f"declared dimension {obj['d']} does not match {m.dim} rows")
         return m
 
 
@@ -246,13 +313,13 @@ def block_assemble(blocks: Sequence[Sequence[RatMatrix]]) -> RatMatrix:
 
 
 def rect_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list:
-    """Exact product of rectangular Fraction grids (kernel-backed)."""
+    """Exact product of rectangular Fraction grids."""
     m = len(a)
     n = len(a[0]) if m else 0
     if len(b) != n:
         raise DimensionError(f"inner dimensions differ: {n} vs {len(b)}")
     p = len(b[0]) if n else 0
-    flat = kernels.mul(
+    flat = _mul(
         [x for row in a for x in row],
         [x for row in b for x in row],
         m, n, p,

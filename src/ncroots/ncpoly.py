@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .exact_linalg import DimensionError, RatMatrix
+from .exact_linalg import DimensionError, RatMatrix, json_array, json_size, parse_at
 
 
 class NCPoly:
@@ -212,9 +212,10 @@ class NCPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NCPoly":
-        if not isinstance(obj, dict) or "coeffs" not in obj or "d" not in obj:
-            raise ValueError("polynomial JSON must carry 'd' and 'coeffs'")
-        return cls([RatMatrix.from_json(c) for c in obj["coeffs"]], dim=obj["d"])
+        coeffs = [parse_at(f"coeffs[{k}]", RatMatrix.from_json, c)
+                  for k, c in enumerate(json_array(obj, "coeffs"))]
+        dim = json_size(obj, "d")
+        return parse_at("coeffs", lambda cs: cls(cs, dim=dim), coeffs)
 
 
 def from_linear_factors(xs: Sequence[RatMatrix], dim: int | None = None) -> NCPoly:

@@ -35,8 +35,8 @@ from typing import Iterable, Mapping
 from . import duclosure
 from .digraph import Digraph, EdgeSet
 from .exact_linalg import (
-    InputError, RatMatrix, SingularMatrixError, block_assemble, json_array, parse_at,
-    parse_rational, rect_mul)
+    InputError, RatMatrix, SingularMatrixError, block_assemble, json_array, json_size,
+    parse_at, parse_rational, rect_mul)
 from .hasse import GammaEdgeLabel, parse_edge_label, subset_id
 from .ncpoly import NCPoly, from_linear_factors
 
@@ -131,10 +131,10 @@ class RootSet:
     def from_json(cls, obj: dict) -> "RootSet":
         rs = cls(parse_at(f"roots[{k}]", RatMatrix.from_json, m)
                  for k, m in enumerate(json_array(obj, "roots")))
-        if "n" in obj and obj["n"] != rs.n:
-            raise ValueError(f"declared n={obj['n']} does not match {rs.n} roots")
-        if "d" in obj and obj["d"] != rs.d:
-            raise ValueError(f"declared d={obj['d']} does not match dimension {rs.d}")
+        if "n" in obj and json_size(obj, "n") != rs.n:
+            raise InputError("n", f"declared n={obj['n']} does not match {rs.n} roots")
+        if "d" in obj and json_size(obj, "d") != rs.d:
+            raise InputError("d", f"declared d={obj['d']} does not match dimension {rs.d}")
         return rs
 
 

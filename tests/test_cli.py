@@ -240,6 +240,105 @@ def test_factor_bad_rational_is_input_error(tmp_path, capsys, nilpotent_pair, en
     assert_input_error(main(["factor", rs]), capsys, "roots[1].entries[0][1]")
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"roots": [{"entries": [[1]]}], "n": True}, "n:"),
+    ({"roots": [{"entries": [[1]]}], "d": True}, "d:"),
+    ({"roots": [{"entries": [[1]], "d": True}]}, "roots[0].d:"),
+    ({"roots": [{"entries": [[1]]}], "n": 1.0}, "n:"),
+])
+def test_factor_declared_size_must_be_integer(tmp_path, capsys, doc, field):
+    rs = write(tmp_path / "rs.json", doc)
+    assert_input_error(main(["factor", rs]), capsys, field)
+
+
 def test_divisors_top_level_array_is_input_error(tmp_path, capsys, nilpotent_files):
     s = write(tmp_path / "s.json", [{"name": "a", "value": {"entries": [["1", "0"], ["0", "1"]]}}])
     assert_input_error(main(["divisors", nilpotent_files["poly"], s]), capsys, "edges")
+
+
+@pytest.mark.parametrize("records, field", [
+    ([1], "edges[0]:"),
+    ([{"name": "a"}], "edges[0]:"),
+    ([{"name": "a", "value": {"entries": [["1", "0"], ["0", "1"]]}}, {"name": "b"}], "edges[1]:"),
+    ([{"name": 5, "value": {"entries": [["1", "0"], ["0", "1"]]}}], "edges[0].name:"),
+    ([{"name": "a", "value": {"entries": [["1", "1/0"], ["0", "1"]]}}], "edges[0].value.entries[0][1]:"),
+])
+def test_divisors_bad_set_record_is_input_error(tmp_path, capsys, nilpotent_files, records, field):
+    s = write(tmp_path / "s.json", {"edges": records})
+    assert_input_error(main(["divisors", nilpotent_files["poly"], s]), capsys, field)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"d": 1, "coeffs": 5}, "coeffs:"),
+    ({"d": 1, "coeffs": [5]}, "coeffs[0].entries:"),
+    ({"d": 1, "coeffs": [{"entries": [["1"]]}, {"entries": [[True]]}]}, "coeffs[1].entries[0][0]:"),
+    ({"d": True, "coeffs": [{"entries": [["1"]]}]}, "d:"),
+    ({"coeffs": [{"entries": [["1"]]}]}, "d:"),
+    ({"d": 2, "coeffs": [{"entries": [["1"]]}]}, "coeffs:"),
+])
+def test_divisors_bad_polynomial_is_input_error(tmp_path, capsys, doc, field):
+    p = write(tmp_path / "p.json", doc)
+    s = write(tmp_path / "s.json", {"edges": []})
+    assert_input_error(main(["divisors", p, s]), capsys, field)
+
+
+BAD_GRAPH_RECORDS = [
+    ({"vertices": [{"id": "u"}, {"id": "v"}], "edges": [{"id": "a", "tail": "u"}]}, "edges[0].head: missing"),
+    ({"vertices": [1, 2], "edges": []}, "vertices[0]: expected an object"),
+    ({"vertices": [{"id": "u"}, {}], "edges": []}, "vertices[1].id: missing"),
+    ({"vertices": [{"id": "u"}, {"id": "v"}], "edges": [{"id": "a", "tail": "u", "head": ["v"]}]},
+     "edges[0].head: expected a string or a number"),
+    ({"vertices": [{"id": "u"}, {"id": None}], "edges": []}, "vertices[1].id: expected a string or a number"),
+    ({"vertices": [{"id": "u"}, {"id": "v"}], "edges": [{"id": True, "tail": "u", "head": "v"}]},
+     "edges[0].id: expected a string or a number"),
+    ({"vertices": [{"id": "u"}, {"id": "v"}], "edges": ["a"]}, "edges[0]: expected an object"),
+]
+
+
+@pytest.mark.parametrize("doc, field", BAD_GRAPH_RECORDS + [
+    ({"vertices": [{"id": "u"}]}, "edges"),
+    ([{"id": "u"}], "vertices"),
+    ({"vertices": [{"id": "u", "rank": True}], "edges": []}, "got True"),
+])
+def test_check_bad_graph_record_is_input_error(tmp_path, capsys, doc, field):
+    g = write(tmp_path / "g.json", doc)
+    code = main(["check", g])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert field in captured.out + captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("doc, field", BAD_GRAPH_RECORDS)
+def test_closure_bad_graph_record_is_input_error(tmp_path, capsys, doc, field):
+    g = write(tmp_path / "g.json", doc)
+    es = write(tmp_path / "es.json", {"edges": []})
+    assert_input_error(main(["closure", g, es]), capsys, field)
+
+
+NUMERIC_ID_GRAPH = {"vertices": [{"id": 0}, {"id": 1}, {"id": 2}, {"id": 3}],
+                    "edges": [{"id": 10, "tail": 0, "head": 1}, {"id": 11, "tail": 0, "head": 2},
+                              {"id": 12, "tail": 1, "head": 3}, {"id": 13, "tail": 2, "head": 3}]}
+
+
+def test_check_accepts_numeric_ids(tmp_path, capsys):
+    g = write(tmp_path / "g.json", NUMERIC_ID_GRAPH)
+    assert main(["check", g]) == 0
+    assert capsys.readouterr().out == (
+        "simple: True\nacyclic: True\nlayered: n/a (no ranks)\n"
+        "modular: True\nsources: ['0']\nsinks: ['3']\n")
+
+
+def test_closure_accepts_numeric_ids(tmp_path, capsys):
+    g = write(tmp_path / "g.json", NUMERIC_ID_GRAPH)
+    es = write(tmp_path / "es.json", {"edges": ["10", "12"]})
+    assert main(["closure", g, es]) == 0
+    assert json.loads(capsys.readouterr().out)["edges"] == ["10", "12"]
+
+
+def test_check_partially_ranked_report_is_unchanged(tmp_path, capsys):
+    g = write(tmp_path / "g.json", {"vertices": [{"id": "u", "rank": 1}, {"id": "v"}],
+                                    "edges": [{"id": "a", "tail": "u", "head": "v"}]})
+    assert main(["check", g]) == 2
+    assert capsys.readouterr().out == (
+        "simple: True\nacyclic: True\nlayered: False\n"
+        "problem: rank values must be non-negative integers, got None\n")

@@ -15,7 +15,7 @@ from .digraph import Digraph, EdgeSet, GraphError, graph_records, validate_graph
 from .divisor_graph import build_divisor_graph
 from .duclosure import completion, is_ample, is_sufficient
 from .exact_linalg import InputError, RatMatrix, SingularMatrixError, json_array, parse_at
-from .hasse import boolean_lattice, complex_hasse, partition_lattice
+from .hasse import boolean_lattice, complex_hasse, family_from_json, partition_lattice
 from .ncpoly import NCPoly
 from .pseudoroots import (
     LabeledEdgeSet,
@@ -60,8 +60,7 @@ def cmd_gen(args):
     else:
         if not args.family:
             raise ValueError("gen complex requires --family FILE")
-        family = _read_json(args.family)["family"]
-        graph = complex_hasse(frozenset(s) for s in family)
+        graph = complex_hasse(family_from_json(_read_json(args.family)))
     _graph_output(graph, args.format, args.out)
     return OK
 
@@ -177,8 +176,15 @@ def cmd_divisors(args):
         for key in ("name", "edge"):
             if key in rec and not isinstance(rec[key], str):
                 raise InputError(f"edges[{k}].{key}", "expected a string")
-        name = rec.get("name") or rec.get("edge") or f"s{len(elements) + 1}"
-        elements[name] = parse_at(f"edges[{k}].value", RatMatrix.from_json, rec["value"])
+        key = next((key for key in ("name", "edge") if rec.get(key)), None)
+        name = rec[key] if key else f"s{len(elements) + 1}"
+        if name in elements:
+            raise InputError(f"edges[{k}].{key}" if key else f"edges[{k}]", f"{name!r} used twice")
+        value = parse_at(f"edges[{k}].value", RatMatrix.from_json, rec["value"])
+        if value.dim != poly.dim:
+            raise InputError(f"edges[{k}].value",
+                             f"dimension {value.dim} does not match the polynomial's {poly.dim}")
+        elements[name] = value
     dg = build_divisor_graph(poly, elements)
     if args.format == "dot":
         _emit(dg.graph.to_dot(), args.out)

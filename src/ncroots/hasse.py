@@ -13,6 +13,7 @@ import itertools
 from typing import Callable, Iterable, NamedTuple
 
 from .digraph import Digraph, GraphError
+from .exact_linalg import InputError, json_array
 
 MAX_BOOLEAN_N = 12
 MAX_PARTITION_N = 10
@@ -147,6 +148,28 @@ def hasse_from_poset(elements, less_than: Callable, rank: Callable | None = None
     if rank is not None and unit_steps:
         rank_map = {ident(x): rank(x) for x in elements}
     return Digraph(ids, edges, rank_map)
+
+
+def family_from_json(obj) -> list:
+    """The faces of a ``{"family": [[...], ...]}`` document, as frozensets.
+
+    Each face is an array of strings or numbers; one family may not mix the
+    two, since subset ids sort the elements of a face. A malformed face or
+    element raises an InputError naming its field.
+    """
+    faces = []
+    kinds = set()
+    for k, face in enumerate(json_array(obj, "family")):
+        if not isinstance(face, list):
+            raise InputError(f"family[{k}]", "expected an array")
+        for j, x in enumerate(face):
+            if isinstance(x, bool) or not isinstance(x, (str, int, float)):
+                raise InputError(f"family[{k}][{j}]", "expected a string or a number")
+            kinds.add(isinstance(x, str))
+        if len(kinds) > 1:
+            raise InputError(f"family[{k}]", "mixes strings and numbers across the family")
+        faces.append(frozenset(face))
+    return faces
 
 
 def complex_hasse(family: Iterable) -> Digraph:

@@ -3,15 +3,27 @@
 Everything here works in a concrete ring (exact rational matrices): a set
 of right roots whose block Vandermonde matrices are all invertible
 determines, through Vandermonde quasideterminants, one conjugate x_{A,i}
-for every subset A and index i outside it. These values satisfy the
-diamond identities
+for every subset A and index i outside it. ``RootSet.is_generic`` inverts
+every quasideterminant to decide genericity, so the same pass stores each
+x_{A,i} and the root set keeps the whole table next to its verdict. That
+table is cross-checked entry by entry against the heredity recursion
+
+    x_{A|j,i} = delta x_{A,i} delta^{-1},   delta = x_{A,i} - x_{A,j}
+
+(Gelfand-Gelfand-Retakh-Wilson), a second formula rather than a second
+column order of the first. ``build_table``, ``factor_sequence`` and
+``canonical_polynomial`` read the table; ``pseudo_root`` recomputes one
+value from its quasideterminant and stays the independent oracle. The
+values satisfy the diamond identities
 
     x_{A|i,j} + x_{A,i} = x_{A|j,i} + x_{A,j}
     x_{A|i,j} * x_{A,i} = x_{A|j,i} * x_{A,j}
 
 exactly, fit together into factorizations of one canonical polynomial
-independent of the index ordering, and propagate along a boolean-lattice
-edge labeling by the solved conjugation forms
+independent of the index ordering (checked over the subset lattice: every
+subset B has one product Q_B, whichever index is peeled off last), and
+propagate along a boolean-lattice edge labeling by the solved conjugation
+forms
 
     d:  b1 = (a1-a2)^{-1} a2 (a1-a2),   b2 = (a2-a1)^{-1} a1 (a2-a1)
     u:  a1 = (b1-b2) b2 (b1-b2)^{-1},   a2 = (b2-b1) b1 (b2-b1)^{-1}
@@ -73,7 +85,7 @@ class NotSufficientError(Exception):
 class RootSet:
     """An ordered set of right roots x_1..x_n over one matrix dimension."""
 
-    __slots__ = ("n", "d", "roots", "_generic")
+    __slots__ = ("n", "d", "roots", "_generic", "_entries")
 
     def __init__(self, roots: Iterable[RatMatrix]):
         roots = tuple(roots)
@@ -87,6 +99,7 @@ class RootSet:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "_generic", None)
+        object.__setattr__(self, "_entries", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RootSet is immutable")
@@ -101,28 +114,51 @@ class RootSet:
 
         Checks invertibility of the block Vandermonde over every subset of
         each size (column permutations preserve invertibility, so subsets
-        suffice) and of every quasideterminant value.
+        suffice) and of every quasideterminant v = v(rest, last). The same
+        pass stores each pseudo-root x_{rest,last} = v x_last v^{-1}; a
+        generic set keeps that table next to its verdict, after every entry
+        has matched the heredity recursion (OrderingDependentError if not).
         """
-        cached = self._generic
-        if cached is None:
-            cached = self._check_generic()
-            object.__setattr__(self, "_generic", cached)
-        return cached
+        if self._generic is None:
+            verdict, entries = self._check_generic()
+            object.__setattr__(self, "_entries", entries)
+            object.__setattr__(self, "_generic", verdict)
+        return self._generic
 
     def _check_generic(self):
+        entries = {(frozenset(), i): x for i, x in enumerate(self.roots, start=1)}
+        # V^{-1} of every subset one size down; V of one index is the identity
+        below = {(i,): RatMatrix.identity(self.d) for i in range(1, self.n + 1)}
         for k in range(1, self.n):
+            above = {}
             for subset in itertools.combinations(range(1, self.n + 1), k + 1):
                 try:
-                    vandermonde_matrix(self, subset).inverse()
+                    above[subset] = vandermonde_matrix(self, subset).inverse()
                 except SingularMatrixError:
-                    return False, ("vandermonde", subset)
+                    return (False, ("vandermonde", subset)), None
                 for last in subset:
                     rest = tuple(i for i in subset if i != last)
+                    v = vandermonde_quasidet(self, rest + (last,), vinv=below[rest])
                     try:
-                        vandermonde_quasidet(self, rest + (last,)).inverse()
+                        entries[frozenset(rest), last] = v * self.root(last) * v.inverse()
                     except SingularMatrixError:
-                        return False, ("quasidet", rest + (last,))
-        return True, None
+                        return (False, ("quasidet", rest + (last,))), None
+            below = above
+        _check_recursion(entries)
+        return (True, None), entries
+
+    def _pseudo_roots(self) -> dict:
+        """The cached table {(frozenset A, i): x_{A,i}} of a generic set.
+
+        A non-generic set raises the singular-matrix error its witness names.
+        """
+        generic, witness = self.is_generic()
+        if not generic:
+            kind, indices = witness
+            if kind == "vandermonde":
+                raise SingularVandermondeError(f"V{indices} is singular")
+            raise SingularQuasidetError(f"v{indices} is singular")
+        return self._entries
 
     def to_json(self) -> dict:
         return {"n": self.n, "d": self.d, "roots": [x.to_json() for x in self.roots]}
@@ -182,20 +218,22 @@ def vandermonde_matrix(rs: RootSet, indices) -> RatMatrix:
     return block_assemble(blocks)
 
 
-def vandermonde_quasidet(rs: RootSet, indices) -> RatMatrix:
+def vandermonde_quasidet(rs: RootSet, indices, vinv: RatMatrix | None = None) -> RatMatrix:
     """x_{last}^k - r V(first)^{-1} c for indices (i_1..i_k, last).
 
-    The value does not depend on the order of the first k indices.
+    The value does not depend on the order of the first k indices. A
+    caller that already holds V(first)^{-1} passes it as ``vinv``.
     """
     indices = _validate_indices(rs, indices)
     if len(indices) < 2:
         raise ValueError("quasideterminant needs at least two indices")
     first, last = indices[:-1], indices[-1]
     k = len(first)
-    try:
-        vinv = vandermonde_matrix(rs, first).inverse()
-    except SingularMatrixError as exc:
-        raise SingularVandermondeError(f"V{first} is singular") from exc
+    if vinv is None:
+        try:
+            vinv = vandermonde_matrix(rs, first).inverse()
+        except SingularMatrixError as exc:
+            raise SingularVandermondeError(f"V{first} is singular") from exc
     x_last = rs.root(last)
     d = rs.d
     row = [[None] * (k * d) for _ in range(d)]
@@ -242,6 +280,30 @@ def _conjugate(rs: RootSet, ordering: tuple, i: int) -> RatMatrix:
     return v * rs.root(i) * vinv
 
 
+def _check_recursion(entries: Mapping):
+    """Every x_{A,i} with A nonempty equals delta x_{A',i} delta^{-1}, where
+    A' = A minus j = max A and delta = x_{A',i} - x_{A',j}.
+
+    Right evaluation gives v(A,i) = delta v(A',i), and both quasideterminants
+    are invertible on a generic set, so a singular delta means the table is
+    wrong and counts as a mismatch.
+    """
+    for (A, i), value in entries.items():
+        if not A:
+            continue
+        j = max(A)
+        lower = A - {j}
+        below = entries[lower, i]
+        delta = below - entries[lower, j]
+        try:
+            expected = delta * below * delta.inverse()
+        except SingularMatrixError:
+            expected = None
+        if value != expected:
+            raise OrderingDependentError(
+                f"x_({subset_id(A)},{i}) differs from the recursion through {subset_id(lower)}")
+
+
 class PseudoRootTable:
     """All values x_{A,i} of one root set, keyed by (frozenset, index)."""
 
@@ -281,14 +343,10 @@ class PseudoRootTable:
 
 
 def build_table(rs: RootSet) -> PseudoRootTable:
-    """Compute every x_{A,i} and validate the diamond identities exactly."""
-    entries = {}
+    """Every x_{A,i} from the root set's cached table, with the diamond
+    identities validated exactly."""
+    entries = rs._pseudo_roots()
     universe = range(1, rs.n + 1)
-    for i in universe:
-        rest = [j for j in universe if j != i]
-        for k in range(len(rest) + 1):
-            for A in itertools.combinations(rest, k):
-                entries[frozenset(A), i] = pseudo_root(rs, A, i)
     for A_size in range(rs.n - 1):
         for A in itertools.combinations(universe, A_size):
             A = frozenset(A)
@@ -308,27 +366,36 @@ def factor_sequence(rs: RootSet, ordering) -> list:
     ordering = _validate_indices(rs, ordering)
     if len(ordering) != rs.n:
         raise ValueError("ordering must list every index exactly once")
-    return [pseudo_root(rs, ordering[:k], ordering[k]) for k in range(rs.n)]
+    entries = rs._pseudo_roots()
+    return [entries[frozenset(ordering[:k]), ordering[k]] for k in range(rs.n)]
 
 
-def canonical_polynomial(rs: RootSet, check_orderings: bool | None = None) -> NCPoly:
-    """(t-y_n)...(t-y_1) from the identity ordering.
+def canonical_polynomial(rs: RootSet) -> NCPoly:
+    """(t-y_n)...(t-y_1), the same for every ordering.
 
-    For n <= 5 (or when requested) equality across all n! orderings is
-    asserted before returning.
+    Independence of the ordering is asserted over the subset lattice: for
+    every subset B, each l in B must give the same Q_B = (t - x_{B-l,l}) Q_{B-l},
+    with Q_{} = 1, or OrderingDependentError is raised. Every ordering's
+    product is Q along one maximal chain, so this implies that all n!
+    orderings agree, in n 2^(n-1) linear products.
     """
-    base = tuple(range(1, rs.n + 1))
-    poly = from_linear_factors(list(reversed(factor_sequence(rs, base))))
-    if check_orderings is None:
-        check_orderings = rs.n <= 5
-    if check_orderings:
-        for perm in itertools.permutations(base):
-            if perm == base:
-                continue
-            other = from_linear_factors(list(reversed(factor_sequence(rs, perm))))
-            if other != poly:
-                raise OrderingDependentError(f"polynomial differs for ordering {perm}")
-    return poly
+    entries = rs._pseudo_roots()
+    level = {frozenset(): NCPoly.one(rs.d)}
+    for k in range(1, rs.n + 1):
+        above = {}
+        for B in map(frozenset, itertools.combinations(range(1, rs.n + 1), k)):
+            q = None
+            for l in sorted(B):
+                below = level[B - {l}]
+                p = below.shift(1) - below.scale_left(entries[B - {l}, l])  # (t - x) Q
+                if q is None:
+                    q = p
+                elif p != q:
+                    raise OrderingDependentError(
+                        f"Q_{subset_id(B)} differs between peeling off {min(B)} and {l}")
+            above[B] = q
+        level = above
+    return level[frozenset(range(1, rs.n + 1))]
 
 
 # ---------------------------------------------------------------------------

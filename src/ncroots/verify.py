@@ -115,7 +115,11 @@ def suite_closed_form_n3(n=None, seed=None):
 
 def suite_ordering_independence(n=None, seed=None):
     """One canonical polynomial per root set, identical across all n!
-    orderings, with every root a right root of it."""
+    orderings, with every root a right root of it.
+
+    Ordering independence is checked over the subset lattice: every subset
+    B has one product Q_B whichever index is peeled off last, which covers
+    every maximal chain, that is every ordering."""
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     sizes = (3, 4) if n is None else (n,)
 
@@ -123,12 +127,14 @@ def suite_ordering_independence(n=None, seed=None):
         for size in sizes:
             for trial in range(20):
                 rs = random_generic_rootset(size, 2, rng=rng)
-                poly = canonical_polynomial(rs, check_orderings=True)
+                poly = canonical_polynomial(rs)
                 for i in range(1, size + 1):
                     if not poly.right_eval(rs.root(i)).is_zero():
                         details.append(f"n={size} trial {trial}: x_{i} is not a right root")
                         return False
-            details.append(f"n={size}: 20 root sets x {len(list(itertools.permutations(range(size))))} orderings")
+            details.append(f"n={size}: 20 root sets; Q_B agrees over all {size * 2 ** (size - 1)} "
+                           f"(B, l) peelings, so all {math.factorial(size)} orderings agree; "
+                           f"every root a right root")
         return True
 
     return _harness("ordering-independence", 30.0, body)

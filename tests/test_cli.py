@@ -52,6 +52,17 @@ def test_gen_bad_args(capsys):
     assert main(["gen", "complex"]) == 2
 
 
+@pytest.mark.parametrize("doc, field", [
+    ([[], [1]], "family:"),
+    ({"family": [1]}, "family[0]:"),
+    ({"family": [[1, [2]]]}, "family[0][1]:"),
+    ({"family": [[], [1], ["a"]]}, "family[2]:"),
+])
+def test_gen_complex_bad_family_is_input_error(tmp_path, capsys, doc, field):
+    fam = write(tmp_path / "f.json", doc)
+    assert_input_error(main(["gen", "complex", "--family", fam]), capsys, field)
+
+
 def test_gen_dot(capsys):
     assert main(["gen", "boolean", "-n", "2", "--format", "dot"]) == 0
     assert capsys.readouterr().out.startswith("digraph")
@@ -262,6 +273,12 @@ def test_divisors_top_level_array_is_input_error(tmp_path, capsys, nilpotent_fil
     ([{"name": "a", "value": {"entries": [["1", "0"], ["0", "1"]]}}, {"name": "b"}], "edges[1]:"),
     ([{"name": 5, "value": {"entries": [["1", "0"], ["0", "1"]]}}], "edges[0].name:"),
     ([{"name": "a", "value": {"entries": [["1", "1/0"], ["0", "1"]]}}], "edges[0].value.entries[0][1]:"),
+    ([{"name": "a", "value": {"entries": [["1", "0"], ["0", "1"]]}},
+      {"name": "a", "value": {"entries": [["0", "1"], ["0", "0"]]}}], "edges[1].name: 'a' used twice"),
+    ([{"edge": "{}:1", "value": {"entries": [["1", "0"], ["0", "1"]]}},
+      {"edge": "{}:1", "value": {"entries": [["0", "1"], ["0", "0"]]}}], "edges[1].edge: '{}:1' used twice"),
+    ([{"name": "a", "value": {"entries": [["1", "0"], ["0", "1"]]}}, {"name": "b", "value": {"entries": [["1"]]}}],
+     "edges[1].value: dimension 1 does not match the polynomial's 2"),
 ])
 def test_divisors_bad_set_record_is_input_error(tmp_path, capsys, nilpotent_files, records, field):
     s = write(tmp_path / "s.json", {"edges": records})

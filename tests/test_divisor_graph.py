@@ -134,7 +134,7 @@ def test_match_rejects_wrong_table(generic2, generic3):
 def test_generic_n4_matches_boolean_lattice():
     rs = random_generic_rootset(4, 2, seed=24)
     table = build_table(rs)
-    poly = canonical_polynomial(rs, check_orderings=False)
+    poly = canonical_polynomial(rs)
     dg = build_divisor_graph(poly, named_table(table))
     assert len(dg.graph.vertices) == 16 and len(dg.graph.edges) == 32
     mapping, reason = match_boolean_table(dg, table)

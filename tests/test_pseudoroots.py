@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given
 
+import ncroots.pseudoroots as pseudoroots
 from conftest import matrices
 from ncroots.digraph import EdgeSet
 from ncroots.duclosure import completion
-from ncroots.exact_linalg import RatMatrix
+from ncroots.exact_linalg import RatMatrix, SingularMatrixError
 from ncroots.hasse import boolean_lattice
 from ncroots.ncpoly import NCPoly, from_linear_factors
 from ncroots.pseudoroots import (
@@ -19,6 +20,7 @@ from ncroots.pseudoroots import (
     LabeledEdgeSet,
     Neg,
     NotSufficientError,
+    OrderingDependentError,
     Prod,
     PseudoRootTable,
     RConj,
@@ -33,6 +35,7 @@ from ncroots.pseudoroots import (
     labeled_completion,
     pseudo_root,
     random_generic_rootset,
+    random_rootset,
     scalar_specialize,
     u_op,
     vandermonde_matrix,
@@ -102,6 +105,38 @@ def test_repeated_root_not_generic(nilpotent_pair):
     assert witness == ("vandermonde", (1, 2))
 
 
+def _reference_is_generic(rs):
+    # the genericity check alone: no table, every V(rest) inverted afresh
+    for k in range(1, rs.n):
+        for subset in itertools.combinations(range(1, rs.n + 1), k + 1):
+            try:
+                vandermonde_matrix(rs, subset).inverse()
+            except SingularMatrixError:
+                return False, ("vandermonde", subset)
+            for last in subset:
+                rest = tuple(i for i in subset if i != last)
+                try:
+                    vandermonde_quasidet(rs, rest + (last,)).inverse()
+                except SingularMatrixError:
+                    return False, ("quasidet", rest + (last,))
+    return True, None
+
+
+def test_is_generic_witnesses_match_reference(nilpotent_pair):
+    x1, x2 = nilpotent_pair
+    x3 = RatMatrix([[1, 1], [-1, -1]])  # a third right root of t^2
+    fixtures = [RootSet([x1, x1]), RootSet([x1, x2, x3]), RootSet([x1, x2]), scalar_rootset(2, 3, 2)]
+    rng = random.Random(5)
+    fixtures += [random_rootset(4, 2, rng, lo=-2, hi=2) for _ in range(60)]
+    witnesses = set()
+    for rs in fixtures:
+        verdict = rs.is_generic()
+        assert verdict == _reference_is_generic(rs)
+        witnesses.add(verdict[1] and len(verdict[1][1]))
+    assert witnesses == {None, 2, 3}
+    assert RootSet([x1, x2, x3]).is_generic() == (False, ("vandermonde", (1, 2, 3)))
+
+
 def test_random_generic_sampler_deterministic():
     a = random_generic_rootset(3, 2, seed=42)
     b = random_generic_rootset(3, 2, seed=42)
@@ -164,6 +199,67 @@ def test_table_ordering_independence_n4():
             values.add(_conjugate(rs, perm, i))
         assert len(values) == 1
         assert values.pop() == pseudo_root(rs, A, i)
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_cached_table_matches_quasideterminant_oracle(n, d):
+    rs = random_generic_rootset(n, d, seed=10 * n + d)
+    table = build_table(rs)
+    assert len(table) == n * 2 ** (n - 1)
+    for (A, i), value in table.items():
+        assert value == pseudo_root(rs, A, i)
+    for perm in itertools.permutations(range(1, n + 1)):
+        assert factor_sequence(rs, perm) == [pseudo_root(rs, perm[:k], perm[k]) for k in range(n)]
+
+
+def test_recursion_cross_check_catches_a_wrong_quasideterminant(monkeypatch):
+    roots = random_generic_rootset(3, 2, seed=9).roots
+    real = pseudoroots.vandermonde_quasidet
+
+    def skewed(rs, indices, vinv=None):
+        v = real(rs, indices, vinv)
+        return v + RatMatrix.identity(rs.d) if tuple(indices) == (1, 2, 3) else v
+
+    monkeypatch.setattr(pseudoroots, "vandermonde_quasidet", skewed)
+    with pytest.raises(OrderingDependentError, match=r"x_\(\{1,2\},3\)"):
+        RootSet(roots).is_generic()
+
+
+def test_recursion_rejects_singular_difference():
+    rs = random_generic_rootset(2, 2, seed=3)
+    entries = {(frozenset(A), i): pseudo_root(rs, A, i) for A, i in [((), 1), ((), 2), ((1,), 2), ((2,), 1)]}
+    pseudoroots._check_recursion(entries)
+    # equal level-0 values make every difference singular
+    entries[frozenset(), 2] = entries[frozenset(), 1]
+    with pytest.raises(OrderingDependentError, match=r"x_\(\{1\},2\)"):
+        pseudoroots._check_recursion(entries)
+
+
+def test_corrupt_cached_entry_is_caught():
+    rs = random_generic_rootset(3, 2, seed=9)
+    rs._pseudo_roots()[frozenset({1}), 2] += RatMatrix.identity(2)
+    with pytest.raises(ArithmeticError, match="diamond identity"):
+        build_table(rs)
+    with pytest.raises(OrderingDependentError, match=r"Q_\{1,2\}"):
+        canonical_polynomial(rs)
+
+
+def test_table_of_non_generic_set_raises(nilpotent_pair):
+    x1, _ = nilpotent_pair
+    with pytest.raises(SingularMatrixError, match=r"V\(1, 2\) is singular"):
+        build_table(RootSet([x1, x1]))
+
+
+def test_canonical_polynomial_checks_orderings_at_n6():
+    rs = random_generic_rootset(6, 2, seed=6)
+    poly = canonical_polynomial(rs)
+    for i in range(1, 7):
+        assert poly.right_eval(rs.root(i)).is_zero()
+    # an entry off the identity chain: only the subset-lattice check reads it
+    rs._pseudo_roots()[frozenset({1, 2, 3, 4}), 6] += RatMatrix.identity(2)
+    assert from_linear_factors(list(reversed(factor_sequence(rs, range(1, 7))))) == poly
+    with pytest.raises(OrderingDependentError):
+        canonical_polynomial(rs)
 
 
 def test_canonical_polynomial_nilpotent(nilpotent_rootset):

@@ -121,19 +121,27 @@ def cmd_ample(args):
     return OK if ok else PROPERTY_FALSE
 
 
+def _parse_ordering(text: str, n: int) -> tuple:
+    try:
+        ordering = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise InputError("--ordering", f"{text!r} is not a comma-separated list of indices") from None
+    if sorted(ordering) != list(range(1, n + 1)):
+        raise InputError("--ordering", f"{text!r} must list every index 1..{n} exactly once")
+    return ordering
+
+
 def cmd_factor(args):
     rs = RootSet.from_json(_read_json(args.rootset))
+    orderings = [_parse_ordering(text, rs.n) for text in args.ordering or []]
+    if not orderings:
+        orderings.append(tuple(range(1, rs.n + 1)))
     generic, witness = rs.is_generic()
     if not generic:
         print(f"root set is not generic: {witness}", file=sys.stderr)
         return NUMERIC_ERROR
     poly = canonical_polynomial(rs)
     table = build_table(rs)
-    orderings = []
-    for text in args.ordering or []:
-        orderings.append(tuple(int(x) for x in text.split(",")))
-    if not orderings:
-        orderings.append(tuple(range(1, rs.n + 1)))
     payload = {
         "polynomial": poly.to_json(),
         "table": table.to_json(),

@@ -1,24 +1,33 @@
 """Exact dense matrix algebra over arbitrary-precision rationals.
 
-Square matrices of `fractions.Fraction` entries are the concrete
-noncommutative ring used everywhere else in the package: ring elements,
-their conjugates, and block Vandermonde matrices all live here. There is
-no floating point anywhere; equality is entry-wise and exact.
+Square rational matrices are the concrete noncommutative ring used
+everywhere else in the package: ring elements, their conjugates, and block
+Vandermonde matrices all live here. There is no floating point anywhere;
+equality is exact.
 
 Scalars are plain ``Fraction`` values (canonical lowest terms, positive
 denominator, zero is 0/1 — exactly the normalization this package needs,
 so no wrapper type is introduced).
 
-Matrices are stored flat, in row-major order, and the two kernels every
-layer above reduces to, ``_mul`` and ``_inv``, work on that flat form. The
-product kernel accumulates raw numerator/denominator integer pairs and
-builds one normalized Fraction per output entry, which avoids the
-per-operation gcd that Fraction arithmetic would pay inside the inner loop.
+A matrix is stored as a flat row-major tuple of integer numerators over one
+positive common denominator, reduced so that the gcd of the denominator and
+all numerators is 1. That form is canonical, so ``==`` and ``hash`` compare
+plain tuples. A product is integer dot products followed by one gcd pass; a
+sum scales both operands to the lcm of their denominators; the inverse is
+fraction-free Gauss-Jordan elimination on [N | I], in which every division
+by the previous pivot is exact (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
+Rectangular intermediates, such as the block rows of a Vandermonde
+quasideterminant, are ``(rows, den)`` pairs of integer rows over one
+denominator. Entries become Fractions only at the boundaries: indexing,
+``rows()``, ``repr`` and JSON.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -90,126 +99,129 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _mul(a, b, m, n, p):
-    """Product of an m*n and an n*p flat Fraction matrix."""
-    out = [None] * (m * p)
-    for i in range(m):
-        arow = i * n
-        for j in range(p):
-            num = 0
-            den = 1
-            for k in range(n):
-                x = a[arow + k]
-                y = b[k * p + j]
-                xn = x.numerator * y.numerator
-                if xn:
-                    xd = x.denominator * y.denominator
-                    num = num * xd + xn * den
-                    den *= xd
-            out[i * p + j] = Fraction(num, den)
-    return out
+def _mul(arows, bcols) -> list:
+    """Integer dot product of every row with every column, row-major."""
+    return [sum(map(mul, r, c)) for r in arows for c in bcols]
 
 
 def _inv(a, n):
-    """Gauss-Jordan inverse of a flat n*n Fraction matrix, or None if singular.
+    """Fraction-free Gauss-Jordan on [N | I] for a flat n*n integer matrix N.
 
-    Partial pivoting on the first nonzero pivot; all arithmetic exact.
+    Returns (B, p) with N^{-1} = B / p, B flat row-major, or None if N is
+    singular. Each step k eliminates column k from every other row with
+    row_i <- (p_k row_i - row_i[k] row_k) / p_{k-1}, where p_k is the current
+    pivot; every entry stays an integer minor of [N | I], so the division is
+    exact, and the last pivot is det N up to the sign of the row swaps.
+    Columns already eliminated are dropped, so the live column is always 0.
     """
-    work = list(a)
-    out = [Fraction(i == j) for i in range(n) for j in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if work[r * n + col]:
-                piv = r
+    rows = [list(a[i * n:(i + 1) * n]) + [0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+    prev = 1
+    for k in range(n):
+        for r in range(k, n):
+            if rows[r][0]:
                 break
-        if piv is None:
+        else:
             return None
-        if piv != col:
-            for j in range(n):
-                work[piv * n + j], work[col * n + j] = work[col * n + j], work[piv * n + j]
-                out[piv * n + j], out[col * n + j] = out[col * n + j], out[piv * n + j]
-        p = work[col * n + col]
-        if p != 1:
-            pn = p.numerator
-            pd = p.denominator
-            for j in range(n):
-                x = work[col * n + j]
-                work[col * n + j] = Fraction(x.numerator * pd, x.denominator * pn)
-                x = out[col * n + j]
-                out[col * n + j] = Fraction(x.numerator * pd, x.denominator * pn)
-        for r in range(n):
-            if r == col:
+        rows[k], rows[r] = rows[r], rows[k]
+        pivot = rows[k][0]
+        tail = rows[k][1:]
+        for i in range(n):
+            if i == k:
                 continue
-            f = work[r * n + col]
-            if not f:
-                continue
-            fn = f.numerator
-            fd = f.denominator
-            for j in range(n):
-                x = work[r * n + j]
-                y = work[col * n + j]
-                work[r * n + j] = Fraction(
-                    x.numerator * fd * y.denominator - fn * y.numerator * x.denominator,
-                    x.denominator * fd * y.denominator,
-                )
-                x = out[r * n + j]
-                y = out[col * n + j]
-                out[r * n + j] = Fraction(
-                    x.numerator * fd * y.denominator - fn * y.numerator * x.denominator,
-                    x.denominator * fd * y.denominator,
-                )
-    return out
+            row = rows[i]
+            f = row[0]
+            if f:
+                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(row[1:], tail)]
+            else:
+                rows[i] = [pivot * x // prev for x in row[1:]]
+        rows[k] = tail
+        prev = pivot
+    return [x for row in rows for x in row], prev
+
+
+_new = object.__new__
+_setattr = object.__setattr__
 
 
 class RatMatrix:
-    """Immutable square matrix of Fractions; the ring element of the package.
+    """Immutable square rational matrix; the ring element of the package.
 
     All arithmetic is closed over one dimension; mixing dimensions raises
     ``DimensionError``. Instances hash and compare by exact entries, so
     they can key dictionaries and deduplicate polynomial coefficients.
     """
 
-    __slots__ = ("dim", "_flat")
+    __slots__ = ("dim", "_nums", "_den")
 
     def __init__(self, rows: Iterable[Iterable]):
         rows = [[parse_rational(x) for x in row] for row in rows]
         d = len(rows)
         if d == 0 or any(len(row) != d for row in rows):
             raise DimensionError("matrix must be square and non-empty")
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "_flat", tuple(x for row in rows for x in row))
+        flat = [x for row in rows for x in row]
+        # over the lcm of lowest-terms denominators the gcd is already 1
+        den = lcm(*(x.denominator for x in flat))
+        _setattr(self, "dim", d)
+        _setattr(self, "_nums", tuple(x.numerator * (den // x.denominator) for x in flat))
+        _setattr(self, "_den", den)
 
     @classmethod
-    def _from_flat(cls, dim: int, flat) -> "RatMatrix":
-        self = object.__new__(cls)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_flat", tuple(flat))
+    def _make(cls, dim: int, nums: tuple, den: int) -> "RatMatrix":
+        """A matrix from numerators and a denominator already in canonical form."""
+        self = _new(cls)
+        _setattr(self, "dim", dim)
+        _setattr(self, "_nums", nums)
+        _setattr(self, "_den", den)
         return self
 
     @classmethod
+    def _reduced(cls, dim: int, nums, den: int) -> "RatMatrix":
+        """nums / den, for a positive den, divided through by the common gcd."""
+        g = gcd(den, *nums)
+        if g == 1:
+            return cls._make(dim, tuple(nums), den)
+        return cls._make(dim, tuple(x // g for x in nums), den // g)
+
+    @classmethod
+    def from_integer_form(cls, form) -> "RatMatrix":
+        """The square matrix rows / den of an integer form (rows, den), den > 0."""
+        rows, den = form
+        d = len(rows)
+        if d == 0 or any(len(row) != d for row in rows):
+            raise DimensionError("matrix must be square and non-empty")
+        return cls._reduced(d, [x for row in rows for x in row], den)
+
+    @classmethod
     def identity(cls, dim: int) -> "RatMatrix":
-        return cls._from_flat(dim, (Fraction(i == j) for i in range(dim) for j in range(dim)))
+        return cls._make(dim, tuple(int(i == j) for i in range(dim) for j in range(dim)), 1)
 
     @classmethod
     def zeros(cls, dim: int) -> "RatMatrix":
-        return cls._from_flat(dim, (Fraction(0),) * (dim * dim))
+        return cls._make(dim, (0,) * (dim * dim), 1)
 
     @classmethod
     def scalar(cls, dim: int, value) -> "RatMatrix":
         v = parse_rational(value)
-        return cls._from_flat(dim, (v if i == j else Fraction(0) for i in range(dim) for j in range(dim)))
+        p = v.numerator
+        return cls._make(dim, tuple(p if i == j else 0 for i in range(dim) for j in range(dim)),
+                         v.denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
 
     def rows(self) -> tuple:
         d = self.dim
-        return tuple(self._flat[i * d:(i + 1) * d] for i in range(d))
+        den = self._den
+        flat = [Fraction(x, den) for x in self._nums]
+        return tuple(tuple(flat[i * d:(i + 1) * d]) for i in range(d))
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self._flat[i * self.dim + j]
+        return Fraction(self._nums[i * self.dim + j], self._den)
+
+    def _row_slices(self) -> list:
+        d = self.dim
+        return [self._nums[i * d:(i + 1) * d] for i in range(d)]
 
     def _check_dim(self, other: "RatMatrix"):
         if not isinstance(other, RatMatrix):
@@ -217,21 +229,27 @@ class RatMatrix:
         if other.dim != self.dim:
             raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
         self._check_dim(other)
-        return RatMatrix._from_flat(self.dim, (x + y for x, y in zip(self._flat, other._flat)))
+        a, b = self._den, other._den
+        den = lcm(a, b)
+        sa, sb = den // a, sign * (den // b)
+        return RatMatrix._reduced(self.dim, [x * sa + y * sb for x, y in zip(self._nums, other._nums)], den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check_dim(other)
-        return RatMatrix._from_flat(self.dim, (x - y for x, y in zip(self._flat, other._flat)))
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return RatMatrix._from_flat(self.dim, (-x for x in self._flat))
+        return RatMatrix._make(self.dim, tuple(-x for x in self._nums), self._den)
 
     def __mul__(self, other):
         self._check_dim(other)
         d = self.dim
-        return RatMatrix._from_flat(d, _mul(self._flat, other._flat, d, d, d))
+        nums = _mul(self._row_slices(), [other._nums[j::d] for j in range(d)])
+        return RatMatrix._reduced(d, nums, self._den * other._den)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -246,10 +264,13 @@ class RatMatrix:
         return result
 
     def inverse(self) -> "RatMatrix":
-        flat = _inv(self._flat, self.dim)
-        if flat is None:
+        solved = _inv(self._nums, self.dim)
+        if solved is None:
             raise SingularMatrixError(f"{self.dim}x{self.dim} matrix is singular")
-        return RatMatrix._from_flat(self.dim, flat)
+        # self = N / den and N^{-1} = B / p, so the inverse is den B / p
+        b, p = solved
+        den = self._den if p > 0 else -self._den
+        return RatMatrix._reduced(self.dim, [den * x for x in b], abs(p))
 
     def one(self) -> "RatMatrix":
         return RatMatrix.identity(self.dim)
@@ -258,7 +279,7 @@ class RatMatrix:
         return RatMatrix.zeros(self.dim)
 
     def is_zero(self) -> bool:
-        return not any(self._flat)
+        return not any(self._nums)
 
     def is_one(self) -> bool:
         return self == RatMatrix.identity(self.dim)
@@ -266,10 +287,10 @@ class RatMatrix:
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return self.dim == other.dim and self._flat == other._flat
+        return self.dim == other.dim and self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash((self.dim, self._flat))
+        return hash((self.dim, self._den, self._nums))
 
     def __repr__(self):
         body = "; ".join(" ".join(format_rational(x) for x in row) for row in self.rows())
@@ -290,38 +311,53 @@ class RatMatrix:
         return m
 
 
+def block_rows(blocks: Sequence[Sequence[RatMatrix]]) -> tuple[list, int]:
+    """A rectangular grid of equal-dimension blocks in integer form (rows, den).
+
+    Block (r, c) lands at rows r*d..r*d+d-1, columns c*d..c*d+d-1; den is the
+    lcm of the blocks' denominators.
+    """
+    grid = [list(row) for row in blocks]
+    if not grid or not grid[0] or any(len(row) != len(grid[0]) for row in grid):
+        raise DimensionError("block grid must be rectangular and non-empty")
+    d = grid[0][0].dim
+    for row in grid:
+        for b in row:
+            if b.dim != d:
+                raise DimensionError(f"inhomogeneous block dimensions: {b.dim} vs {d}")
+    den = lcm(*(b._den for row in grid for b in row))
+    rows = []
+    for row in grid:
+        scaled = [(b._row_slices(), den // b._den) for b in row]
+        for i in range(d):
+            rows.append([x * s for slices, s in scaled for x in slices[i]])
+    return rows, den
+
+
 def block_assemble(blocks: Sequence[Sequence[RatMatrix]]) -> RatMatrix:
     """Assemble a square grid of equal-dimension blocks into one matrix.
 
     Block (r, c) lands at rows r*d..r*d+d-1, columns c*d..c*d+d-1.
     """
     grid = [list(row) for row in blocks]
-    k = len(grid)
-    if k == 0 or any(len(row) != k for row in grid):
+    if not grid or any(len(row) != len(grid) for row in grid):
         raise DimensionError("block grid must be square and non-empty")
-    d = grid[0][0].dim
-    for row in grid:
-        for b in row:
-            if b.dim != d:
-                raise DimensionError(f"inhomogeneous block dimensions: {b.dim} vs {d}")
-    flat = []
-    for r in range(k):
-        for i in range(d):
-            for c in range(k):
-                flat.extend(grid[r][c]._flat[i * d:(i + 1) * d])
-    return RatMatrix._from_flat(k * d, flat)
+    rows, den = block_rows(grid)
+    # over the lcm of canonical denominators the gcd is already 1
+    return RatMatrix._make(len(rows), tuple(x for row in rows for x in row), den)
 
 
-def rect_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list:
-    """Exact product of rectangular Fraction grids."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if len(b) != n:
-        raise DimensionError(f"inner dimensions differ: {n} vs {len(b)}")
-    p = len(b[0]) if n else 0
-    flat = _mul(
-        [x for row in a for x in row],
-        [x for row in b for x in row],
-        m, n, p,
-    )
-    return [flat[i * p:(i + 1) * p] for i in range(m)]
+def rect_mul(a: tuple[list, int], b: tuple[list, int]) -> tuple[list, int]:
+    """Exact product of rectangular matrices in integer form (rows, den).
+
+    The result is in the same form, over the product of the denominators
+    and not reduced.
+    """
+    arows, aden = a
+    brows, bden = b
+    n = len(arows[0]) if arows else 0
+    if len(brows) != n:
+        raise DimensionError(f"inner dimensions differ: {n} vs {len(brows)}")
+    p = len(brows[0]) if n else 0
+    flat = _mul(arows, list(zip(*brows)))
+    return [flat[i * p:(i + 1) * p] for i in range(len(arows))], aden * bden

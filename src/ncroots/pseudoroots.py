@@ -41,14 +41,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import duclosure
 from .digraph import Digraph, EdgeSet
 from .exact_linalg import (
-    InputError, RatMatrix, SingularMatrixError, block_assemble, json_array, json_size,
-    parse_at, parse_rational, rect_mul)
+    InputError, RatMatrix, SingularMatrixError, block_assemble, block_rows, json_array,
+    json_size, parse_at, parse_rational, rect_mul)
 from .hasse import GammaEdgeLabel, parse_edge_label, subset_id
 from .ncpoly import NCPoly, from_linear_factors
 
@@ -114,10 +113,12 @@ class RootSet:
 
         Checks invertibility of the block Vandermonde over every subset of
         each size (column permutations preserve invertibility, so subsets
-        suffice) and of every quasideterminant v = v(rest, last). The same
-        pass stores each pseudo-root x_{rest,last} = v x_last v^{-1}; a
-        generic set keeps that table next to its verdict, after every entry
-        has matched the heredity recursion (OrderingDependentError if not).
+        suffice); the witness is ("vandermonde", first singular subset). The
+        full set is decided through its quasideterminants v = v(rest, last),
+        whose inverses the same pass needs anyway: it stores each pseudo-root
+        x_{rest,last} = v x_last v^{-1}. A generic set keeps that table next
+        to its verdict, after every entry has matched the heredity recursion
+        (OrderingDependentError if not).
         """
         if self._generic is None:
             verdict, entries = self._check_generic()
@@ -132,17 +133,19 @@ class RootSet:
         for k in range(1, self.n):
             above = {}
             for subset in itertools.combinations(range(1, self.n + 1), k + 1):
+                # V(rest) is invertible (checked one level down) and det V(subset)
+                # = +-det V(rest) det v(rest, last), so V(subset) and each of its
+                # quasideterminants are singular together; the full set's V,
+                # whose inverse no later level needs, is decided through them.
                 try:
-                    above[subset] = vandermonde_matrix(self, subset).inverse()
+                    if k + 1 < self.n:
+                        above[subset] = vandermonde_matrix(self, subset).inverse()
+                    for last in subset:
+                        rest = tuple(i for i in subset if i != last)
+                        v = vandermonde_quasidet(self, rest + (last,), vinv=below[rest])
+                        entries[frozenset(rest), last] = v * self.root(last) * v.inverse()
                 except SingularMatrixError:
                     return (False, ("vandermonde", subset)), None
-                for last in subset:
-                    rest = tuple(i for i in subset if i != last)
-                    v = vandermonde_quasidet(self, rest + (last,), vinv=below[rest])
-                    try:
-                        entries[frozenset(rest), last] = v * self.root(last) * v.inverse()
-                    except SingularMatrixError:
-                        return (False, ("quasidet", rest + (last,))), None
             below = above
         _check_recursion(entries)
         return (True, None), entries
@@ -154,10 +157,7 @@ class RootSet:
         """
         generic, witness = self.is_generic()
         if not generic:
-            kind, indices = witness
-            if kind == "vandermonde":
-                raise SingularVandermondeError(f"V{indices} is singular")
-            raise SingularQuasidetError(f"v{indices} is singular")
+            raise SingularVandermondeError(f"V{witness[1]} is singular")
         return self._entries
 
     def to_json(self) -> dict:
@@ -235,19 +235,10 @@ def vandermonde_quasidet(rs: RootSet, indices, vinv: RatMatrix | None = None) ->
         except SingularMatrixError as exc:
             raise SingularVandermondeError(f"V{first} is singular") from exc
     x_last = rs.root(last)
-    d = rs.d
-    row = [[None] * (k * d) for _ in range(d)]
-    for c, i in enumerate(first):
-        p = rs.root(i) ** k
-        for r in range(d):
-            row[r][c * d:(c + 1) * d] = p.rows()[r]
-    col = []
-    for b in range(k):
-        p = x_last ** (k - 1 - b)
-        col.extend(list(r) for r in p.rows())
-    rv = rect_mul(row, [list(r) for r in vinv.rows()])
-    rvc = rect_mul(rv, col)
-    return (x_last ** k) - RatMatrix(rvc)
+    row = block_rows([[rs.root(i) ** k for i in first]])
+    col = block_rows([[x_last ** (k - 1 - b)] for b in range(k)])
+    rvc = rect_mul(rect_mul(row, block_rows([[vinv]])), col)
+    return (x_last ** k) - RatMatrix.from_integer_form(rvc)
 
 
 def pseudo_root(rs: RootSet, A, i: int) -> RatMatrix:

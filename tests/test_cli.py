@@ -4,7 +4,7 @@ import pytest
 
 from ncroots.cli import main
 from ncroots.exact_linalg import RatMatrix
-from ncroots.pseudoroots import RootSet, build_table, canonical_polynomial
+from ncroots.pseudoroots import RootSet, build_table, canonical_polynomial, random_generic_rootset
 
 
 def write(path, obj):
@@ -164,7 +164,6 @@ def test_derive(tmp_path, nilpotent_files, capsys):
 
 
 def test_derive_not_sufficient(tmp_path, capsys):
-    from ncroots.pseudoroots import random_generic_rootset
     g3 = tmp_path / "g3.json"
     main(["gen", "boolean", "-n", "3", "-o", str(g3)])
     rs = random_generic_rootset(3, 2, seed=33)
@@ -249,6 +248,15 @@ def test_factor_bad_rational_is_input_error(tmp_path, capsys, nilpotent_pair, en
     doc["roots"][1]["entries"][0][1] = entry
     rs = write(tmp_path / "rs.json", doc)
     assert_input_error(main(["factor", rs]), capsys, "roots[1].entries[0][1]")
+
+
+@pytest.mark.parametrize("ordering, reason", [
+    ("a,b", "'a,b' is not a comma-separated list of indices"),
+    ("1,2", "'1,2' must list every index 1..3 exactly once"),
+])
+def test_factor_bad_ordering_is_input_error(tmp_path, capsys, ordering, reason):
+    rs = write(tmp_path / "rs.json", random_generic_rootset(3, 2, seed=3).to_json())
+    assert_input_error(main(["factor", rs, "--ordering", ordering]), capsys, f"--ordering: {reason}")
 
 
 @pytest.mark.parametrize("doc, field", [

@@ -1,5 +1,6 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -150,3 +151,11 @@ def test_json_roundtrip(nilpotent_pair):
     assert NCPoly.from_json(p.to_json()) == p
     obj = p.to_json()
     assert obj["d"] == 2 and len(obj["coeffs"]) == 3
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(matrices(d), max_size=4))))
+def test_json_roundtrip_property(case):
+    d, coeffs = case
+    p = NCPoly(coeffs, dim=d)
+    assert NCPoly.from_json(p.to_json()) == p

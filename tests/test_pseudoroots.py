@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given
 
@@ -135,6 +136,22 @@ def test_is_generic_witnesses_match_reference(nilpotent_pair):
         witnesses.add(verdict[1] and len(verdict[1][1]))
     assert witnesses == {None, 2, 3}
     assert RootSet([x1, x2, x3]).is_generic() == (False, ("vandermonde", (1, 2, 3)))
+
+
+def test_full_vandermonde_is_decided_by_its_quasideterminants(monkeypatch, nilpotent_pair):
+    # x3 is a third right root of t^2, so V(1,2,3) is singular; every pair is not
+    x1, x2 = nilpotent_pair
+    rs = RootSet([x1, x2, RatMatrix([[1, 1], [-1, -1]])])
+    for pair in itertools.combinations((1, 2, 3), 2):
+        vandermonde_matrix(rs, pair).inverse()
+    built = []
+    real = pseudoroots.vandermonde_matrix
+    monkeypatch.setattr(pseudoroots, "vandermonde_matrix",
+                        lambda rs, indices: built.append(tuple(indices)) or real(rs, indices))
+    assert rs.is_generic() == (False, ("vandermonde", (1, 2, 3)))
+    assert (1, 2, 3) not in built
+    with pytest.raises(pseudoroots.SingularVandermondeError, match=r"V\(1, 2, 3\) is singular"):
+        build_table(rs)
 
 
 def test_random_generic_sampler_deterministic():
@@ -509,6 +526,14 @@ def test_rootset_json_roundtrip():
     assert back.roots == rs.roots
     with pytest.raises(ValueError):
         RootSet.from_json({"n": 3, "d": 2, "roots": [rs.root(1).to_json()]})
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda d: st.lists(matrices(d), min_size=1, max_size=4)))
+def test_rootset_json_roundtrip_property(roots):
+    rs = RootSet(roots)
+    back = RootSet.from_json(rs.to_json())
+    assert (back.n, back.d, back.roots) == (rs.n, rs.d, rs.roots)
 
 
 def test_labeled_set_json_roundtrip(nilpotent_pair):

@@ -62,7 +62,9 @@ def build_divisor_graph(p: NCPoly, elements) -> DivisorGraph:
     for name, x in sorted(dict(elements).items()):
         by_value.setdefault(x, name)
     named = sorted((name, x) for x, name in by_value.items())
-    ids = {}
+    ids = {}           # NCPoly -> vertex id; NCPoly hashes and compares exactly
+    sort_keys = {}     # NCPoly -> its coefficient serialization, the frontier order
+    per_degree = {}    # degree -> vertices named so far
     polys = {}
     quotients = {}
     labels = {}
@@ -70,27 +72,29 @@ def build_divisor_graph(p: NCPoly, elements) -> DivisorGraph:
     edges = []
 
     def vertex_for(poly, quotient):
-        key = _poly_key(poly)
-        if key not in ids:
-            ids[key] = f"d{poly.degree}.{sum(1 for q in polys.values() if q.degree == poly.degree)}"
-            polys[ids[key]] = poly
-            quotients[ids[key]] = quotient
-        return ids[key]
+        if poly not in ids:
+            k = per_degree.get(poly.degree, 0)
+            per_degree[poly.degree] = k + 1
+            ids[poly] = f"d{poly.degree}.{k}"
+            sort_keys[poly] = _poly_key(poly)
+            polys[ids[poly]] = poly
+            quotients[ids[poly]] = quotient
+        return ids[poly]
 
     top = vertex_for(p, NCPoly.one(p.dim))
     frontier = [p]
     while frontier:
-        frontier.sort(key=_poly_key)
+        frontier.sort(key=sort_keys.__getitem__)
         next_frontier = []
         for b1 in frontier:
             if b1.degree == 0:
                 continue
-            v1 = ids[_poly_key(b1)]
+            v1 = ids[b1]
             for name, x in named:
                 quotient, remainder = b1.left_divide_linear(x)
                 if not remainder.is_zero():
                     continue
-                known = _poly_key(quotient) in ids
+                known = quotient in ids
                 v2 = vertex_for(quotient, quotients[v1] * NCPoly.t_minus(x))
                 eid = f"{v1}>{v2}"
                 edges.append((eid, v1, v2))

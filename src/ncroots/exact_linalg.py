@@ -13,10 +13,15 @@ A matrix is stored as a flat row-major tuple of integer numerators over one
 positive common denominator, reduced so that the gcd of the denominator and
 all numerators is 1. That form is canonical, so ``==`` and ``hash`` compare
 plain tuples. A product is integer dot products followed by one gcd pass; a
-sum scales both operands to the lcm of their denominators; the inverse is
-fraction-free Gauss-Jordan elimination on [N | I], in which every division
-by the previous pivot is exact (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
+sum scales both operands to the lcm of their denominators. There is one
+elimination routine, ``_solve``: fraction-free Gauss-Jordan on [N | M], in
+which every division by the previous pivot is exact (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 22, 1968). The inverse solves with M = I. ``conjugate`` computes
+delta x delta^{-1} or delta^{-1} x delta fused into one solve: the
+denominator of delta cancels, so it costs one integer product, one
+elimination with a d-column right side and one gcd pass, where the product
+form costs an inverse, two products and three gcd passes.
 Rectangular intermediates, such as the block rows of a Vandermonde
 quasideterminant, are ``(rows, den)`` pairs of integer rows over one
 denominator. Entries become Fractions only at the boundaries: indexing,
@@ -104,17 +109,17 @@ def _mul(arows, bcols) -> list:
     return [sum(map(mul, r, c)) for r in arows for c in bcols]
 
 
-def _inv(a, n):
-    """Fraction-free Gauss-Jordan on [N | I] for a flat n*n integer matrix N.
+def _solve(a, b, n, m):
+    """Fraction-free Gauss-Jordan on [N | M], N flat n*n and M flat n*m, integers.
 
-    Returns (B, p) with N^{-1} = B / p, B flat row-major, or None if N is
-    singular. Each step k eliminates column k from every other row with
+    Returns (X, p) with N^{-1} M = X / p, X flat row-major n*m, or None if N
+    is singular. Each step k eliminates column k from every other row with
     row_i <- (p_k row_i - row_i[k] row_k) / p_{k-1}, where p_k is the current
-    pivot; every entry stays an integer minor of [N | I], so the division is
+    pivot; every entry stays an integer minor of [N | M], so the division is
     exact, and the last pivot is det N up to the sign of the row swaps.
     Columns already eliminated are dropped, so the live column is always 0.
     """
-    rows = [list(a[i * n:(i + 1) * n]) + [0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+    rows = [list(a[i * n:(i + 1) * n]) + list(b[i * m:(i + 1) * m]) for i in range(n)]
     prev = 1
     for k in range(n):
         for r in range(k, n):
@@ -264,13 +269,14 @@ class RatMatrix:
         return result
 
     def inverse(self) -> "RatMatrix":
-        solved = _inv(self._nums, self.dim)
+        d = self.dim
+        solved = _solve(self._nums, RatMatrix.identity(d)._nums, d, d)
         if solved is None:
-            raise SingularMatrixError(f"{self.dim}x{self.dim} matrix is singular")
+            raise SingularMatrixError(f"{d}x{d} matrix is singular")
         # self = N / den and N^{-1} = B / p, so the inverse is den B / p
         b, p = solved
         den = self._den if p > 0 else -self._den
-        return RatMatrix._reduced(self.dim, [den * x for x in b], abs(p))
+        return RatMatrix._reduced(d, [den * x for x in b], abs(p))
 
     def one(self) -> "RatMatrix":
         return RatMatrix.identity(self.dim)
@@ -309,6 +315,35 @@ class RatMatrix:
         if "d" in obj and json_size(obj, "d") != m.dim:
             raise InputError("d", f"declared dimension {obj['d']} does not match {m.dim} rows")
         return m
+
+
+def conjugate(delta: RatMatrix, x: RatMatrix, left: bool) -> RatMatrix:
+    """delta x delta^{-1} if ``left``, else delta^{-1} x delta, by one exact solve.
+
+    With delta = D / p and x = N / q, p cancels: delta^{-1} x delta = Y / q
+    where D Y = N D, and delta x delta^{-1} = Y / q where Y D = D N, which is
+    solved transposed as D^T Y^T = (D N)^T. A singular delta raises
+    SingularMatrixError.
+    """
+    delta._check_dim(x)
+    d = delta.dim
+    dn, xn = delta._nums, x._nums
+    if left:
+        # (D N)^T = N^T D^T, from the columns of N and the rows of D
+        a = [v for j in range(d) for v in dn[j::d]]
+        b = _mul([xn[j::d] for j in range(d)], delta._row_slices())
+    else:
+        a = dn
+        b = _mul(x._row_slices(), [dn[j::d] for j in range(d)])
+    solved = _solve(a, b, d, d)
+    if solved is None:
+        raise SingularMatrixError(f"{d}x{d} matrix is singular")
+    y, p = solved
+    if left:
+        y = [v for j in range(d) for v in y[j::d]]
+    if p < 0:
+        y, p = [-v for v in y], -p
+    return RatMatrix._reduced(d, y, p * x._den)
 
 
 def block_rows(blocks: Sequence[Sequence[RatMatrix]]) -> tuple[list, int]:

@@ -29,7 +29,12 @@ forms
     u:  a1 = (b1-b2) b2 (b1-b2)^{-1},   a2 = (b2-b1) b1 (b2-b1)^{-1}
 
 which are forced by the diamond identities (solve the linear one for b2,
-substitute into the quadratic one). The labeled closure drives those two
+substitute into the quadratic one). The linear identity also gives each
+second value from the first, b2 = b1 + (a1-a2) and a2 = a1 + (b1-b2), so
+one step is one conjugation. Every conjugation here, in the table, its
+recursion check, the quasideterminant oracle, d, u and the expression
+traces, is one call to ``exact_linalg.conjugate``, a single exact
+fraction-free solve. The labeled closure drives those two
 maps along the graph closure of ``duclosure`` and records, per derived
 edge, an expression tree over the input generators, so a factorization
 extracted from a sufficient edge set comes with verifiable rational
@@ -46,8 +51,8 @@ from typing import Iterable, Mapping
 from . import duclosure
 from .digraph import Digraph, EdgeSet
 from .exact_linalg import (
-    InputError, RatMatrix, SingularMatrixError, block_assemble, block_rows, json_array,
-    json_size, parse_at, parse_rational, rect_mul)
+    InputError, RatMatrix, SingularMatrixError, block_assemble, block_rows, conjugate,
+    json_array, json_size, parse_at, parse_rational, rect_mul)
 from .hasse import GammaEdgeLabel, parse_edge_label, subset_id
 from .ncpoly import NCPoly, from_linear_factors
 
@@ -143,7 +148,7 @@ class RootSet:
                     for last in subset:
                         rest = tuple(i for i in subset if i != last)
                         v = vandermonde_quasidet(self, rest + (last,), vinv=below[rest])
-                        entries[frozenset(rest), last] = v * self.root(last) * v.inverse()
+                        entries[frozenset(rest), last] = conjugate(v, self.root(last), left=True)
                 except SingularMatrixError:
                     return (False, ("vandermonde", subset)), None
             below = above
@@ -265,10 +270,9 @@ def pseudo_root(rs: RootSet, A, i: int) -> RatMatrix:
 def _conjugate(rs: RootSet, ordering: tuple, i: int) -> RatMatrix:
     v = vandermonde_quasidet(rs, ordering + (i,))
     try:
-        vinv = v.inverse()
+        return conjugate(v, rs.root(i), left=True)
     except SingularMatrixError as exc:
         raise SingularQuasidetError(f"v{ordering + (i,)} is singular") from exc
-    return v * rs.root(i) * vinv
 
 
 def _check_recursion(entries: Mapping):
@@ -287,7 +291,7 @@ def _check_recursion(entries: Mapping):
         below = entries[lower, i]
         delta = below - entries[lower, j]
         try:
-            expected = delta * below * delta.inverse()
+            expected = conjugate(delta, below, left=True)
         except SingularMatrixError:
             expected = None
         if value != expected:
@@ -394,23 +398,31 @@ def canonical_polynomial(rs: RootSet) -> NCPoly:
 
 
 def d_op(a1: RatMatrix, a2: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
-    """Descend a common-tail value pair to the common-head pair below it."""
+    """Descend a common-tail value pair to the common-head pair below it.
+
+    b1 = delta^{-1} a2 delta with delta = a1 - a2, and b2 = b1 + delta by the
+    linear diamond identity, so one conjugation gives both.
+    """
     delta = a1 - a2
     try:
-        dinv = delta.inverse()
+        b1 = conjugate(delta, a2, left=False)
     except SingularMatrixError as exc:
         raise SingularDifferenceError("difference of the pair is singular") from exc
-    return dinv * a2 * delta, dinv * a1 * delta
+    return b1, b1 + delta
 
 
 def u_op(b1: RatMatrix, b2: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
-    """Lift a common-head value pair to the common-tail pair above it."""
+    """Lift a common-head value pair to the common-tail pair above it.
+
+    a1 = delta b2 delta^{-1} with delta = b1 - b2, and a2 = a1 + delta by the
+    linear diamond identity, so one conjugation gives both.
+    """
     delta = b1 - b2
     try:
-        dinv = delta.inverse()
+        a1 = conjugate(delta, b2, left=True)
     except SingularMatrixError as exc:
         raise SingularDifferenceError("difference of the pair is singular") from exc
-    return delta * b2 * dinv, delta * b1 * dinv
+    return a1, a1 + delta
 
 
 class ConjExpr:
@@ -499,13 +511,11 @@ class LConj(ConjExpr):
 
     def eval(self, assignment):
         av = self.a.eval(assignment)
-        bv = self.b.eval(assignment)
-        delta = av - bv
+        delta = av - self.b.eval(assignment)
         try:
-            dinv = delta.inverse()
+            return conjugate(delta, av, left=True)
         except SingularMatrixError as exc:
             raise SingularDifferenceError(f"lconj difference singular in {self}") from exc
-        return delta * av * dinv
 
     def __str__(self):
         return f"lconj({self.a},{self.b})"
@@ -520,13 +530,11 @@ class RConj(ConjExpr):
 
     def eval(self, assignment):
         av = self.a.eval(assignment)
-        bv = self.b.eval(assignment)
-        delta = av - bv
+        delta = av - self.b.eval(assignment)
         try:
-            dinv = delta.inverse()
+            return conjugate(delta, av, left=False)
         except SingularMatrixError as exc:
             raise SingularDifferenceError(f"rconj difference singular in {self}") from exc
-        return dinv * av * delta
 
     def __str__(self):
         return f"rconj({self.a},{self.b})"
@@ -572,17 +580,32 @@ class LabeledEdgeSet:
 
     @classmethod
     def from_json(cls, host: Digraph, obj: dict) -> "LabeledEdgeSet":
+        """Edge records {"edge", "value", "name"?}; names are given for every
+        edge or for none, and every value shares the first one's dimension."""
+        recs = json_array(obj, "edges")
+        named = any(isinstance(rec, dict) and "name" in rec for rec in recs)
         labels = {}
         names = {}
-        for k, rec in enumerate(json_array(obj, "edges")):
+        for k, rec in enumerate(recs):
             e = rec.get("edge") if isinstance(rec, dict) else None
             if not isinstance(e, str) or "value" not in rec:
                 raise InputError(f"edges[{k}]", "expected an object with an 'edge' id and a 'value'")
             if e in labels:
                 raise InputError(f"edges[{k}].edge", f"edge {e!r} is labeled twice")
             labels[e] = parse_at(f"edges[{k}].value", RatMatrix.from_json, rec["value"])
-            if "name" in rec:
-                names[e] = rec["name"]
+            dim, first = labels[e].dim, labels[recs[0]["edge"]].dim
+            if dim != first:
+                raise InputError(f"edges[{k}].value", f"dimension {dim} does not match edges[0]'s {first}")
+            if not named:
+                continue
+            if "name" not in rec:
+                raise InputError(f"edges[{k}].name", "missing; name every edge or none")
+            name = rec["name"]
+            if not isinstance(name, str):
+                raise InputError(f"edges[{k}].name", "expected a string")
+            if name in names.values():
+                raise InputError(f"edges[{k}].name", f"{name!r} used twice")
+            names[e] = name
         return cls(host, labels, names=names or None)
 
 

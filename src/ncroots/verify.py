@@ -73,7 +73,12 @@ def _edge_index(edge_id: str) -> int:
 
 
 def suite_closed_form_n2(n=None, seed=None):
-    """x_{i,j} equals (x_j - x_i) x_j (x_j - x_i)^{-1} for random generic pairs."""
+    """x_{i,j} equals (x_j - x_i) x_j (x_j - x_i)^{-1} for random generic pairs.
+
+    The right side is written out as two products and an inverse, not
+    through ``exact_linalg.conjugate``: ``pseudo_root`` runs on that fused
+    kernel, so this suite checks the kernel against the product form.
+    """
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
 
     def body(details):
@@ -92,7 +97,12 @@ def suite_closed_form_n2(n=None, seed=None):
 
 
 def suite_closed_form_n3(n=None, seed=None):
-    """Both closed forms of x_{ij,k} agree (and equal the table value)."""
+    """Both closed forms of x_{ij,k} agree (and equal the table value).
+
+    The closed forms are written out as products with an inverse, not
+    through ``exact_linalg.conjugate``, so they check ``pseudo_root``'s
+    fused kernel against the product form.
+    """
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
 
     def body(details):

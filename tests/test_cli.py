@@ -229,6 +229,22 @@ def test_derive_repeated_edge_is_input_error(tmp_path, capsys, nilpotent_pair):
     assert_input_error(main(["derive", str(g3), lab]), capsys, "edges[1].edge")
 
 
+@pytest.mark.parametrize("edges, field", [
+    ([{"name": 5}, {"name": "b"}], "edges[0].name: expected a string"),
+    ([{"name": [1]}, {"name": "b"}], "edges[0].name: expected a string"),
+    ([{"name": "a"}, {}], "edges[1].name: missing; name every edge or none"),
+    ([{}, {"name": "a"}], "edges[0].name: missing; name every edge or none"),
+    ([{"name": "a"}, {"name": "a"}], "edges[1].name: 'a' used twice"),
+    ([{}, {"value": {"entries": [["1"]]}}], "edges[1].value: dimension 1 does not match edges[0]'s 2"),
+])
+def test_derive_bad_labeled_record_is_input_error(tmp_path, capsys, nilpotent_pair, edges, field):
+    g = tmp_path / "g2.json"
+    main(["gen", "boolean", "-n", "2", "-o", str(g)])
+    recs = [{"edge": e, "value": x.to_json()} for e, x in zip(("{}:1", "{}:2"), nilpotent_pair)]
+    lab = write(tmp_path / "lab.json", {"edges": [{**r, **change} for r, change in zip(recs, edges)]})
+    assert_input_error(main(["derive", str(g), lab]), capsys, field)
+
+
 @pytest.mark.parametrize("command", ["closure", "sufficient", "ample"])
 def test_edge_set_top_level_array_is_input_error(tmp_path, capsys, command):
     g = tmp_path / "g2.json"

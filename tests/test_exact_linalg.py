@@ -12,6 +12,7 @@ from ncroots.exact_linalg import (
     SingularMatrixError,
     block_assemble,
     block_rows,
+    conjugate,
     format_rational,
     parse_rational,
     rect_mul,
@@ -287,6 +288,25 @@ def test_singular_inverse_raises(case):
     assert fraction_inv(flat(singular), a.dim) is None
     with pytest.raises(SingularMatrixError):
         singular.inverse()
+    for left in (True, False):
+        with pytest.raises(SingularMatrixError):
+            conjugate(singular, a, left)
+
+
+@settings(max_examples=30)
+@given(sizes.flatmap(lambda d: st.tuples(matrices(d), matrices(d))))
+def test_conjugate_matches_fraction_reference(pair):
+    delta, x = pair
+    d = delta.dim
+    dinv = fraction_inv(flat(delta), d)
+    assume(dinv is not None)
+    dx = fraction_mul(flat(delta), flat(x), d, d, d)
+    dinv_x = fraction_mul(dinv, flat(x), d, d, d)
+    for left, expected in ((True, fraction_mul(dx, dinv, d, d, d)),
+                           (False, fraction_mul(dinv_x, flat(delta), d, d, d))):
+        y = conjugate(delta, x, left)
+        assert flat(y) == expected
+        assert_canonical(y)
 
 
 @settings(max_examples=30)

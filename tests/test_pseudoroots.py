@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 
 import ncroots.pseudoroots as pseudoroots
 from conftest import matrices
@@ -339,6 +339,37 @@ def test_diamond_identities_after_ops(a, b):
     c1, c2 = u_op(a, b)
     assert c1 + a == c2 + b
     assert c1 * a == c2 * b
+
+
+def d_op_reference(a1, a2):
+    """The four-product form: one inverse shared by both conjugations."""
+    delta = a1 - a2
+    dinv = delta.inverse()
+    return dinv * a2 * delta, dinv * a1 * delta
+
+
+def u_op_reference(b1, b2):
+    delta = b1 - b2
+    dinv = delta.inverse()
+    return delta * b2 * dinv, delta * b1 * dinv
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda d: st.tuples(matrices(d), matrices(d))))
+def test_conj_ops_match_four_product_reference(pair):
+    a, b = pair
+    try:
+        expected_d, expected_u = d_op_reference(a, b), u_op_reference(a, b)
+    except SingularMatrixError:
+        for op in (d_op, u_op):
+            with pytest.raises(SingularDifferenceError, match="difference of the pair is singular"):
+                op(a, b)
+        return
+    b1, b2 = d_op(a, b)
+    c1, c2 = u_op(a, b)
+    assert (b1, b2) == expected_d and (c1, c2) == expected_u
+    # the linear diamond identity: the second output is the first plus delta
+    assert b2 - b1 == a - b and c2 - c1 == a - b
 
 
 def test_singular_difference_raises(nilpotent_pair):
